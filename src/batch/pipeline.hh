@@ -105,7 +105,8 @@ class BatchPipeline
      * construction. The table is immutable during a run (the
      * allocation phase touched every page before the first
      * reference), so the VA->PA function can be arrays indexed by
-     * page number instead of per-reference hash probes — the
+     * page number, saving the page table's per-reference chunk
+     * probe (a hash lookup on the 2 MiB chunk number) — the
      * golden-TLB check compares every translation against the live
      * page table whenever SIPT_CHECK is on, guarding the snapshot.
      * Huge mappings are consulted before small ones, mirroring

@@ -548,8 +548,8 @@ SweepRunner &
 SweepRunner::global()
 {
     // Magic-static init is thread-safe and SweepRunner is
-    // internally synchronised; this is the one sanctioned piece of
-    // process-global mutable state.
+    // internally synchronised; this and the conditioned-memory memo
+    // in system.cc are the sanctioned process-global mutable state.
     // sipt-lint: allow(mutable-static)
     static SweepRunner runner;
     return runner;

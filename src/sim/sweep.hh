@@ -190,12 +190,23 @@ class SweepRunner
     async(F fn) -> std::shared_future<std::invoke_result_t<F>>
     {
         using T = std::invoke_result_t<F>;
+        // Count the task before the packaged_task fulfils the
+        // future (the guard runs once fn's result exists, or as
+        // it throws), as enqueue() counts before set_value(): a
+        // caller back from get() must already see it in stats().
+        struct CountOnExit
+        {
+            SweepRunner *runner;
+            ~CountOnExit() { runner->noteGenericDone(); }
+        };
         auto task = std::make_shared<std::packaged_task<T()>>(
-            std::move(fn));
+            [this, fn = std::move(fn)]() mutable -> T {
+                const CountOnExit count{this};
+                return fn();
+            });
         auto fut = task->get_future().share();
         post([this, task] {
             runGenericTraced([&] { (*task)(); });
-            noteGenericDone();
         });
         return fut;
     }

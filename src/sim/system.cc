@@ -1,9 +1,11 @@
 #include "sim/system.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string_view>
 
 #include "batch/pipeline.hh"
@@ -30,6 +32,97 @@ namespace
 /** Allocator churn applied for the "weeks of uptime" baseline. */
 constexpr std::uint64_t agingChurnOps = 20'000;
 constexpr double agingResidentFraction = 0.22;
+
+/** Everything conditioned physical memory depends on. */
+struct MemoryKey
+{
+    std::uint64_t physMemBytes = 0;
+    std::uint64_t seed = 0;
+    bool fragmented = false;
+    bool operator==(const MemoryKey &) const = default;
+};
+
+/** Age (and, for Fragmented, fragment) a fresh allocator. */
+os::BuddyAllocator
+conditionFresh(const MemoryKey &key)
+{
+    os::BuddyAllocator buddy(key.physMemBytes / pageSize);
+    Rng sys_rng(key.seed);
+    os::SystemAger ager(buddy);
+    os::MemoryFragmenter fragmenter(buddy);
+    ager.age(agingChurnOps, agingResidentFraction, sys_rng);
+    if (key.fragmented)
+        fragmenter.fragmentTo(0.95, 9, sys_rng, 0.30);
+    // Snapshot while the ager and fragmenter still hold their
+    // pins: their destructors release into the scratch allocator.
+    return os::BuddyAllocator(buddy);
+}
+
+/**
+ * Process-wide memo of immutable conditioned-memory images, most
+ * recently used first. Conditioning and copying run outside the
+ * lock, so distinct keys condition in parallel; workers racing on
+ * one new key each compute the same image and the first insert
+ * wins.
+ */
+class ConditionedMemoryMemo
+{
+  public:
+    /** A private copy of @p key's image. */
+    os::BuddyAllocator
+    get(const MemoryKey &key)
+    {
+        Image image;
+        {
+            std::lock_guard lock(mu_);
+            image = touch(key);
+        }
+        if (!image) {
+            auto fresh = std::make_shared<const os::BuddyAllocator>(
+                conditionFresh(key));
+            std::lock_guard lock(mu_);
+            image = touch(key);
+            if (!image) {
+                image = fresh;
+                entries_.emplace(entries_.begin(), key, fresh);
+                if (entries_.size() > conditionedMemoryEntries)
+                    entries_.pop_back();
+            }
+        }
+        return *image;
+    }
+
+  private:
+    using Image = std::shared_ptr<const os::BuddyAllocator>;
+
+    /** @p key's image, moved to the front; null when absent.
+     *  @pre mu_ is held. */
+    Image
+    touch(const MemoryKey &key)
+    {
+        const auto it = std::find_if(
+            entries_.begin(), entries_.end(),
+            [&](const auto &entry) { return entry.first == key; });
+        if (it == entries_.end())
+            return nullptr;
+        std::rotate(entries_.begin(), it, it + 1);
+        return entries_.front().second;
+    }
+
+    std::mutex mu_;
+    std::vector<std::pair<MemoryKey, Image>> entries_;
+};
+
+ConditionedMemoryMemo &
+conditionedMemoryMemo()
+{
+    // The second sanctioned process-global (after
+    // SweepRunner::global()): it caches a pure function of its key
+    // and hands out copies, so no run can observe another.
+    // sipt-lint: allow(mutable-static)
+    static ConditionedMemoryMemo memo;
+    return memo;
+}
 
 /** Glue: MMU + L1 behind the core's memory port. */
 class SystemPort : public cpu::MemPort
@@ -387,13 +480,7 @@ recordTrace(const std::string &app, const SystemConfig &config,
     // Same pre-conditioning and seed derivation as
     // runSingleCore(): the recorded stream and layout are exactly
     // what the live run would have seen.
-    os::BuddyAllocator buddy(config.physMemBytes / pageSize);
-    Rng sys_rng(config.seed);
-    os::SystemAger ager(buddy);
-    os::MemoryFragmenter fragmenter(buddy);
-    ager.age(agingChurnOps, agingResidentFraction, sys_rng);
-    if (config.condition == MemCondition::Fragmented)
-        fragmenter.fragmentTo(0.95, 9, sys_rng, 0.30);
+    os::BuddyAllocator buddy = conditionedMemory(config);
 
     const std::uint64_t seed = config.seed + 10;
     std::unique_ptr<os::AddressSpace> as;
@@ -469,18 +556,19 @@ hashValue(const SystemConfig &config)
     return h;
 }
 
+os::BuddyAllocator
+conditionedMemory(const SystemConfig &config)
+{
+    return conditionedMemoryMemo().get(
+        MemoryKey{config.physMemBytes, config.seed,
+                  config.condition == MemCondition::Fragmented});
+}
+
 RunResult
 runSingleCore(const std::string &app, const SystemConfig &config)
 {
-    os::BuddyAllocator buddy(config.physMemBytes / pageSize);
-    Rng sys_rng(config.seed);
-
     // Condition physical memory before the application starts.
-    os::SystemAger ager(buddy);
-    os::MemoryFragmenter fragmenter(buddy);
-    ager.age(agingChurnOps, agingResidentFraction, sys_rng);
-    if (config.condition == MemCondition::Fragmented)
-        fragmenter.fragmentTo(0.95, 9, sys_rng, 0.30);
+    os::BuddyAllocator buddy = conditionedMemory(config);
 
     dram::Dram dram;
     cache::TimingCache llc(llcPreset(config.outOfOrder, 1));
@@ -508,13 +596,7 @@ runMulticore(const std::vector<std::string> &mix,
         fatal("runMulticore: empty mix");
     const auto cores = static_cast<std::uint32_t>(mix.size());
 
-    os::BuddyAllocator buddy(config.physMemBytes / pageSize);
-    Rng sys_rng(config.seed);
-    os::SystemAger ager(buddy);
-    os::MemoryFragmenter fragmenter(buddy);
-    ager.age(agingChurnOps, agingResidentFraction, sys_rng);
-    if (config.condition == MemCondition::Fragmented)
-        fragmenter.fragmentTo(0.95, 9, sys_rng, 0.30);
+    os::BuddyAllocator buddy = conditionedMemory(config);
 
     dram::Dram dram;
     cache::TimingCache llc(llcPreset(config.outOfOrder, cores));

@@ -24,6 +24,7 @@
 
 #include "cpu/core.hh"
 #include "energy/accounting.hh"
+#include "os/buddy_allocator.hh"
 #include "sim/presets.hh"
 #include "sipt/l1_cache.hh"
 #include "vm/mmu.hh"
@@ -219,6 +220,21 @@ struct RunResult
  * environment variable so CI can shrink experiments.
  */
 std::uint64_t defaultMeasureRefs();
+
+/** Conditioned-memory images the per-process memo keeps. */
+inline constexpr std::size_t conditionedMemoryEntries = 4;
+
+/**
+ * Physical memory as every run under @p config finds it before its
+ * first allocation: a fresh allocator over physMemBytes aged by
+ * weeks of churn and, under MemCondition::Fragmented, then driven
+ * to Kwon et al.'s fragmentation target. The image is a pure
+ * function of (physMemBytes, seed, condition == Fragmented). The
+ * process memoizes the conditionedMemoryEntries most recently used
+ * images and returns a private copy, so callers may allocate from
+ * it freely.
+ */
+os::BuddyAllocator conditionedMemory(const SystemConfig &config);
 
 /** Run one application on one system. */
 RunResult runSingleCore(const std::string &app,

@@ -5,6 +5,13 @@
  *
  * The table is the authoritative VA->PA mapping; the TLB caches its
  * entries and the MMU walks it on TLB misses.
+ *
+ * Storage is indexed by 2 MiB virtual chunk: one hash map from chunk
+ * number to a record holding either the chunk's huge frame or its
+ * 512-slot array of 4 KiB frames (allocated on the chunk's first
+ * 4 KiB mapping). A translation is one chunk probe plus, for small
+ * pages, one array index; the per-chunk small count that THP
+ * promotion checks lives in the same record.
  */
 
 #ifndef SIPT_VM_PAGE_TABLE_HH
@@ -14,6 +21,7 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -30,7 +38,7 @@ struct Translation
 };
 
 /**
- * Two-level (by page size) hash-backed page table.
+ * Chunk-indexed page table with 4 KiB and 2 MiB mappings.
  */
 class PageTable
 {
@@ -69,10 +77,10 @@ class PageTable
     bool chunkHasSmallMappings(Addr vaddr) const;
 
     /** Number of 4 KiB mappings. */
-    std::uint64_t smallPageCount() const { return small_.size(); }
+    std::uint64_t smallPageCount() const { return smallPages_; }
 
     /** Number of 2 MiB mappings. */
-    std::uint64_t hugePageCount() const { return huge_.size(); }
+    std::uint64_t hugePageCount() const { return hugePages_; }
 
     /** Visit every 4 KiB mapping as (vpn, pfn), unordered. */
     void forEachSmall(
@@ -87,12 +95,35 @@ class PageTable
     void clear();
 
   private:
-    /** 4 KiB VPN -> PFN. */
-    std::unordered_map<Vpn, Pfn> small_;
-    /** 2 MiB-granular VPN (vaddr >> 21) -> base PFN (4 KiB units).*/
-    std::unordered_map<Vpn, Pfn> huge_;
-    /** Count of 4 KiB mappings per 2 MiB chunk, for THP checks. */
-    std::unordered_map<Vpn, std::uint32_t> smallPerChunk_;
+    /** Frame value marking an unmapped slot. */
+    static constexpr Pfn noFrame = ~Pfn{0};
+
+    /**
+     * The mappings inside one 2 MiB virtual chunk. A chunk is
+     * either huge-mapped (@c huge set, no small slots in use) or
+     * holds at least one 4 KiB mapping; a chunk that becomes
+     * neither is erased.
+     */
+    struct Chunk
+    {
+        /** Base PFN (4 KiB units) of the huge mapping, or noFrame.*/
+        Pfn huge = noFrame;
+        /** Number of mapped slots in @c small. */
+        std::uint32_t smallCount = 0;
+        /** PFN per 4 KiB slot (noFrame = unmapped); empty until the
+         *  chunk's first 4 KiB mapping. */
+        std::vector<Pfn> small;
+    };
+
+    /** Chunk record for @p vaddr, or nullptr when it has none. */
+    const Chunk *findChunk(Addr vaddr) const;
+
+    /** 2 MiB chunk number (vaddr >> 21) -> its mappings. */
+    std::unordered_map<Vpn, Chunk> chunks_;
+    /** Number of 4 KiB mappings across all chunks. */
+    std::uint64_t smallPages_ = 0;
+    /** Number of huge-mapped chunks. */
+    std::uint64_t hugePages_ = 0;
 };
 
 } // namespace sipt::vm

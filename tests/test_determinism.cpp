@@ -6,10 +6,17 @@
  * results — directly, through fresh runners at several thread
  * counts, and across single/multicore entry points. If any of
  * these fail, every memoized figure downstream is suspect.
+ *
+ * Runs share one process-wide memo of conditioned physical memory
+ * (sim::conditionedMemory), so the ConditionedMemory tests check
+ * that a memoized image is exactly what fresh conditioning gives:
+ * keyed on every input that shapes it, private to each caller, and
+ * unchanged by eviction.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/sweep.hh"
@@ -145,6 +152,96 @@ TEST(Determinism, SeedChangesResults)
     const RunResult a = runSingleCore("mcf", base);
     const RunResult b = runSingleCore("mcf", reseeded);
     EXPECT_NE(a.cycles, b.cycles);
+}
+
+TEST(Determinism, FirstRunOnNewMemoryKeyMatchesRepeat)
+{
+    // A seed no other test uses: the first run conditions memory
+    // and fills the memo, the second is served from it.
+    const auto cfg = quick(IndexingPolicy::SiptCombined, 0x5eed1);
+    const RunResult first = runSingleCore("gcc", cfg);
+    const RunResult repeat = runSingleCore("gcc", cfg);
+    EXPECT_EQ(runResultToJson(first).dump(),
+              runResultToJson(repeat).dump());
+}
+
+/**
+ * What an allocator image looks like to a run: free frames, the
+ * free-block count per order, and the frames the next demand
+ * faults would receive. Takes a copy; allocating from it leaves
+ * the caller's image alone.
+ */
+std::vector<std::uint64_t>
+imageSignature(os::BuddyAllocator image)
+{
+    std::vector<std::uint64_t> sig{image.freeFrames()};
+    for (unsigned order = 0; order <= image.maxOrder(); ++order)
+        sig.push_back(image.freeBlocks(order));
+    for (int i = 0; i < 64; ++i)
+        sig.push_back(image.allocate(0).value_or(~Pfn{0}));
+    for (int i = 0; i < 8; ++i)
+        sig.push_back(image.allocate(9).value_or(~Pfn{0}));
+    return sig;
+}
+
+SystemConfig
+smallMachine(std::uint64_t seed,
+             MemCondition condition = MemCondition::Normal)
+{
+    SystemConfig cfg = quick(IndexingPolicy::SiptCombined, seed);
+    cfg.physMemBytes = 256ull << 20;
+    cfg.footprintScale = 0.05;
+    cfg.condition = condition;
+    return cfg;
+}
+
+TEST(ConditionedMemory, EveryKeyFieldShapesTheImage)
+{
+    const auto base = imageSignature(
+        conditionedMemory(smallMachine(0x5eed2)));
+    EXPECT_NE(base,
+              imageSignature(conditionedMemory(smallMachine(
+                  0x5eed2, MemCondition::Fragmented))));
+    EXPECT_NE(base, imageSignature(
+                        conditionedMemory(smallMachine(0x5eed3))));
+    SystemConfig bigger = smallMachine(0x5eed2);
+    bigger.physMemBytes = 512ull << 20;
+    EXPECT_NE(base, imageSignature(conditionedMemory(bigger)));
+
+    // Only Fragmented conditions memory differently; THP-off and
+    // no-contiguity change the paging policy, not the image.
+    EXPECT_EQ(base,
+              imageSignature(conditionedMemory(smallMachine(
+                  0x5eed2, MemCondition::ThpOff))));
+    EXPECT_EQ(base,
+              imageSignature(conditionedMemory(smallMachine(
+                  0x5eed2, MemCondition::NoContiguity))));
+}
+
+TEST(ConditionedMemory, CallersGetPrivateCopies)
+{
+    const SystemConfig cfg = smallMachine(0x5eed4);
+    os::BuddyAllocator mine = conditionedMemory(cfg);
+    const auto before = imageSignature(mine);
+    while (mine.allocate(0)) {
+    }
+    EXPECT_EQ(mine.freeFrames(), 0u);
+    EXPECT_EQ(before, imageSignature(conditionedMemory(cfg)));
+}
+
+TEST(ConditionedMemory, RunMatchesAfterItsImageIsEvicted)
+{
+    const SystemConfig cfg = smallMachine(0x5eed5);
+    const RunResult before = runSingleCore("mcf", cfg);
+    const auto image = imageSignature(conditionedMemory(cfg));
+    for (std::uint64_t k = 1; k <= conditionedMemoryEntries + 1;
+         ++k) {
+        (void)conditionedMemory(smallMachine(0x5eed5 + 100 * k));
+    }
+    EXPECT_EQ(image, imageSignature(conditionedMemory(cfg)));
+    const RunResult after = runSingleCore("mcf", cfg);
+    EXPECT_EQ(runResultToJson(before).dump(),
+              runResultToJson(after).dump());
 }
 
 } // namespace

@@ -213,5 +213,51 @@ TEST(SweepRace, GenericTasksRaceWithCachedJobs)
     EXPECT_EQ(runner.stats().executed, jobs.size());
 }
 
+TEST(SweepRace, GenericTaskCountedBeforeItsFutureIsReady)
+{
+    // A caller back from the last get() of a round must already
+    // see every task of the round in stats(); counting after the
+    // future is fulfilled loses that race under load.
+    SweepRunner runner(SweepOptions{4, "-"});
+    constexpr std::uint64_t tasks = 8;
+    for (std::uint64_t round = 1; round <= 500; ++round) {
+        std::vector<std::shared_future<std::uint64_t>> futures;
+        for (std::uint64_t i = 0; i < tasks; ++i)
+            futures.push_back(runner.async([i] { return i; }));
+        for (std::uint64_t i = 0; i < tasks; ++i)
+            ASSERT_EQ(futures[i].get(), i);
+        ASSERT_EQ(runner.stats().genericTasks, round * tasks);
+    }
+}
+
+TEST(SweepRace, WorkersConditioningOneNewMemoryKeyAgree)
+{
+    // Four threads start one run on a conditioned-memory key
+    // nothing else in the process uses, so all of them miss the
+    // memo at once and race to fill it. Every result must equal
+    // a later run of the same job served from the memo.
+    const SystemConfig cfg = tiny(IndexingPolicy::SiptCombined,
+                                  0x5eed6);
+    constexpr unsigned workers = 4;
+    std::vector<std::string> results(workers);
+    std::atomic<unsigned> ready{0};
+    std::vector<std::thread> threads;
+    for (unsigned w = 0; w < workers; ++w) {
+        threads.emplace_back([&, w] {
+            ++ready;
+            while (ready.load() < workers) {
+            }
+            results[w] =
+                runResultToJson(runSingleCore("mcf", cfg)).dump();
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    const std::string memoized =
+        runResultToJson(runSingleCore("mcf", cfg)).dump();
+    for (const std::string &r : results)
+        EXPECT_EQ(r, memoized);
+}
+
 } // namespace
 } // namespace sipt::sim

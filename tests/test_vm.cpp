@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 #include "common/bitops.hh"
+#include "common/rng.hh"
 #include "vm/mmu.hh"
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
@@ -90,6 +95,165 @@ TEST(PageTable, CountsAndClear)
     pt.clear();
     EXPECT_EQ(pt.smallPageCount(), 0u);
     EXPECT_FALSE(pt.isMapped(0x1000));
+}
+
+TEST(PageTable, RemapOfSmallPageDies)
+{
+    PageTable pt;
+    pt.mapPage(0x7000, 3);
+    EXPECT_DEATH(pt.mapPage(0x7abc, 4), "re-map");
+}
+
+TEST(PageTable, HugeMapAfterLastSmallUnmap)
+{
+    PageTable pt;
+    pt.mapPage(hugePageSize + 0x1000, 10);
+    pt.mapPage(hugePageSize + 0x5000, 11);
+    pt.unmapPage(hugePageSize + 0x1000);
+    EXPECT_TRUE(pt.chunkHasSmallMappings(hugePageSize));
+    pt.unmapPage(hugePageSize + 0x5000);
+    EXPECT_FALSE(pt.chunkHasSmallMappings(hugePageSize));
+
+    pt.mapHugePage(hugePageSize, 1024);
+    const auto xlat = pt.translate(hugePageSize + 0x5123);
+    ASSERT_TRUE(xlat);
+    EXPECT_TRUE(xlat->hugePage);
+    EXPECT_EQ(xlat->paddr, (1024ull << pageShift) + 0x5123);
+    EXPECT_EQ(pt.smallPageCount(), 0u);
+    EXPECT_EQ(pt.hugePageCount(), 1u);
+}
+
+TEST(PageTable, UnmapHugeOfUnmappedChunkKeepsCounts)
+{
+    PageTable pt;
+    pt.mapPage(0x3000, 1);
+    pt.mapHugePage(4 * hugePageSize, 2048);
+    // A chunk with no mapping at all, and one with 4 KiB mappings.
+    pt.unmapHugePage(8 * hugePageSize);
+    pt.unmapHugePage(0x3000);
+    EXPECT_EQ(pt.smallPageCount(), 1u);
+    EXPECT_EQ(pt.hugePageCount(), 1u);
+    EXPECT_TRUE(pt.isMapped(0x3000));
+    EXPECT_TRUE(pt.isHugeMapped(4 * hugePageSize));
+}
+
+TEST(PageTable, ForEachVisitsExactlyTheMappedSet)
+{
+    PageTable pt;
+    std::set<std::pair<Vpn, Pfn>> small;
+    for (Vpn vpn : {Vpn{1}, Vpn{2}, Vpn{511}, Vpn{512}, Vpn{4000}}) {
+        pt.mapPage(pageBase(vpn), vpn + 100);
+        small.emplace(vpn, vpn + 100);
+    }
+    pt.unmapPage(pageBase(2));
+    small.erase({2, 102});
+    pt.mapHugePage(3 * hugePageSize, 512);
+    pt.mapHugePage(9 * hugePageSize, 0);
+    pt.mapHugePage(10 * hugePageSize, 1536);
+    pt.unmapHugePage(10 * hugePageSize);
+
+    std::set<std::pair<Vpn, Pfn>> seen_small;
+    pt.forEachSmall([&](Vpn vpn, Pfn pfn) {
+        EXPECT_TRUE(seen_small.emplace(vpn, pfn).second);
+    });
+    std::set<std::pair<Vpn, Pfn>> seen_huge;
+    pt.forEachHuge([&](Vpn chunk, Pfn pfn) {
+        EXPECT_TRUE(seen_huge.emplace(chunk, pfn).second);
+    });
+    EXPECT_EQ(seen_small, small);
+    EXPECT_EQ(seen_huge,
+              (std::set<std::pair<Vpn, Pfn>>{{3, 512}, {9, 0}}));
+}
+
+TEST(PageTable, RandomInterleavingMatchesMapModel)
+{
+    // Eight 2 MiB chunks with 4 KiB maps confined to each chunk's
+    // first four pages, so chunks often empty out, take a huge
+    // mapping, and refill with small pages afterwards.
+    constexpr Vpn chunks = 8;
+    constexpr Vpn window = 4;
+    PageTable pt;
+    std::map<Vpn, Pfn> small;
+    std::map<Vpn, Pfn> huge;
+    auto chunk_has_small = [&](Vpn chunk) {
+        const auto it = small.lower_bound(
+            pageNumber(blockBase(chunk, hugePageShift)));
+        return it != small.end() &&
+               hugePageNumber(pageBase(it->first)) == chunk;
+    };
+    auto expect_matches = [&](Addr va) {
+        const Vpn chunk = hugePageNumber(va);
+        const auto xlat = pt.translate(va);
+        if (const auto h = huge.find(chunk); h != huge.end()) {
+            ASSERT_TRUE(xlat);
+            EXPECT_TRUE(xlat->hugePage);
+            EXPECT_EQ(xlat->paddr, pageBase(h->second) |
+                                       (va & mask(hugePageShift)));
+        } else if (const auto s = small.find(pageNumber(va));
+                   s != small.end()) {
+            ASSERT_TRUE(xlat);
+            EXPECT_FALSE(xlat->hugePage);
+            EXPECT_EQ(xlat->paddr,
+                      pageBase(s->second) | pageOffset(va));
+        } else {
+            EXPECT_FALSE(xlat.has_value());
+        }
+        EXPECT_EQ(pt.isMapped(va), xlat.has_value());
+        EXPECT_EQ(pt.isHugeMapped(va), huge.contains(chunk));
+        EXPECT_EQ(pt.chunkHasSmallMappings(va),
+                  chunk_has_small(chunk));
+    };
+
+    Rng rng(20180224);
+    std::uint64_t huge_maps = 0;
+    for (int step = 0; step < 10'000; ++step) {
+        const Vpn chunk = rng.below(chunks);
+        const Addr va = blockBase(chunk, hugePageShift) +
+                        pageBase(rng.below(window)) +
+                        rng.below(pageSize);
+        const Vpn vpn = pageNumber(va);
+        switch (rng.below(6)) {
+          case 0:
+            if (!small.contains(vpn) && !huge.contains(chunk)) {
+                const Pfn pfn = rng.below(Pfn{1} << 20);
+                pt.mapPage(va, pfn);
+                small.emplace(vpn, pfn);
+            }
+            break;
+          case 1:
+            if (!huge.contains(chunk) && !chunk_has_small(chunk)) {
+                const Pfn base =
+                    rng.below(Pfn{1} << 11) * pagesPerHugePage;
+                pt.mapHugePage(va, base);
+                huge.emplace(chunk, base);
+                ++huge_maps;
+            }
+            break;
+          case 2:
+          case 3:
+            pt.unmapPage(va);
+            small.erase(vpn);
+            break;
+          case 4:
+            pt.unmapHugePage(va);
+            huge.erase(chunk);
+            break;
+          default:
+            break;
+        }
+        expect_matches(va);
+        expect_matches(rng.below(blockBase(chunks, hugePageShift)));
+        ASSERT_EQ(pt.smallPageCount(), small.size());
+        ASSERT_EQ(pt.hugePageCount(), huge.size());
+    }
+    EXPECT_GT(huge_maps, 100u);
+
+    std::map<Vpn, Pfn> seen_small;
+    pt.forEachSmall([&](Vpn v, Pfn p) { seen_small.emplace(v, p); });
+    std::map<Vpn, Pfn> seen_huge;
+    pt.forEachHuge([&](Vpn c, Pfn p) { seen_huge.emplace(c, p); });
+    EXPECT_EQ(seen_small, small);
+    EXPECT_EQ(seen_huge, huge);
 }
 
 TEST(Tlb, HitAfterInsert)
