@@ -3,8 +3,8 @@
  * Google-benchmark microbenchmarks of the core components: the
  * predictors (whose per-access cost must be negligible for the
  * paper's overhead claims to hold), the cache array, the TLB,
- * the buddy allocator, the DRAM timing model, and the sweep
- * engine's task-dispatch overhead.
+ * the buddy allocator, a run's allocation-phase set-up, the DRAM
+ * timing model, and the sweep engine's task-dispatch overhead.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,11 +12,15 @@
 #include "cache/cache_array.hh"
 #include "common/rng.hh"
 #include "dram/dram.hh"
+#include "os/address_space.hh"
 #include "os/buddy_allocator.hh"
 #include "predictor/combined.hh"
 #include "predictor/perceptron.hh"
 #include "sim/sweep.hh"
+#include "sim/system.hh"
 #include "vm/tlb.hh"
+#include "workload/profile.hh"
+#include "workload/synthetic.hh"
 
 namespace
 {
@@ -107,6 +111,29 @@ BM_BuddyAllocFree(benchmark::State &state)
         buddy.free(pfn, 0);
 }
 BENCHMARK(BM_BuddyAllocFree);
+
+// The set-up every single-core run pays before its first
+// reference: copy the conditioned memory image, build mcf's
+// address space and run its allocation phase (its whole footprint
+// demand-faulted through the buddy allocator), then tear both
+// down, returning every frame to the copy.
+void
+BM_AllocationPhase(benchmark::State &state)
+{
+    const sim::SystemConfig config;
+    const workload::AppProfile &profile = workload::appProfile("mcf");
+    os::PagingPolicy policy;
+    policy.thpChance = profile.thpAffinity;
+    // Condition the image once, outside the timed loop.
+    benchmark::DoNotOptimize(sim::conditionedMemory(config));
+    for (auto _ : state) {
+        os::BuddyAllocator buddy = sim::conditionedMemory(config);
+        os::AddressSpace as(buddy, policy, config.seed + 11);
+        workload::SyntheticWorkload app(profile, as, config.seed + 12);
+        benchmark::DoNotOptimize(app.hugeCoverage());
+    }
+}
+BENCHMARK(BM_AllocationPhase)->Unit(benchmark::kMillisecond);
 
 void
 BM_DramAccess(benchmark::State &state)

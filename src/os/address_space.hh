@@ -226,11 +226,16 @@ class AddressSpace
         Addr sourceVa;
     };
 
+    /** One block this address space owns, packed in one word
+     *  (PFNs fit in 58 bits, orders in 6): a run keeps one record
+     *  per faulted page, so for a big app this vector is the
+     *  run's largest allocation and sets its peak memory. */
     struct Allocation
     {
-        Pfn base;
-        unsigned order;
+        std::uint64_t base : 58;
+        std::uint64_t order : 6;
     };
+    static_assert(sizeof(Allocation) == 8);
 
     /** Find the region containing @p vaddr, or nullptr. */
     const Region *findRegion(Addr vaddr) const;

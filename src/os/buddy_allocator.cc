@@ -1,43 +1,135 @@
 #include "os/buddy_allocator.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace sipt::os
 {
 
+namespace
+{
+
+/** Smallest index table; an empty list allocates none. */
+constexpr std::size_t minSlots = 16;
+
+} // namespace
+
+std::size_t
+BuddyAllocator::FreeList::home(Pfn base) const
+{
+    // Fibonacci hashing: the top bits of the product mix every
+    // PFN bit, including the high ones that differ between the
+    // naturally aligned blocks of one order.
+    return static_cast<std::size_t>(
+        (base * 0x9e3779b97f4a7c15ull) >> shift);
+}
+
+std::size_t
+BuddyAllocator::FreeList::find(Pfn base) const
+{
+    if (slots.empty())
+        return npos;
+    const std::size_t m = slots.size() - 1;
+    for (std::size_t i = home(base);; i = (i + 1) & m) {
+        const std::uint32_t pos = slots[i];
+        if (pos == 0)
+            return npos;
+        if (blocks[pos - 1] == base)
+            return i;
+    }
+}
+
+void
+BuddyAllocator::FreeList::removeSlot(std::size_t hole)
+{
+    const std::size_t m = slots.size() - 1;
+    for (std::size_t i = (hole + 1) & m; slots[i] != 0;
+         i = (i + 1) & m) {
+        // The entry at i may fill the hole iff its home slot is
+        // not cyclically inside (hole, i].
+        const std::size_t h = home(blocks[slots[i] - 1]);
+        if (((i - h) & m) >= ((i - hole) & m)) {
+            slots[hole] = slots[i];
+            hole = i;
+        }
+    }
+    slots[hole] = 0;
+}
+
+void
+BuddyAllocator::FreeList::rehash(std::size_t capacity)
+{
+    slots.assign(capacity, 0);
+    shift = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    const std::size_t m = capacity - 1;
+    for (std::size_t p = 0; p < blocks.size(); ++p) {
+        std::size_t i = home(blocks[p]);
+        while (slots[i] != 0)
+            i = (i + 1) & m;
+        slots[i] = static_cast<std::uint32_t>(p + 1);
+    }
+}
+
+void
+BuddyAllocator::FreeList::reindex()
+{
+    if (blocks.empty()) {
+        slots = {};
+        shift = 64;
+        return;
+    }
+    rehash(std::max(minSlots, std::bit_ceil(8 * blocks.size())));
+}
+
+BuddyAllocator::FreeList::FreeList(const FreeList &other)
+    : blocks(other.blocks)
+{
+    reindex();
+}
+
+BuddyAllocator::FreeList &
+BuddyAllocator::FreeList::operator=(const FreeList &other)
+{
+    blocks = other.blocks;
+    reindex();
+    return *this;
+}
+
 void
 BuddyAllocator::FreeList::push(Pfn base)
 {
-    const bool inserted =
-        pos.emplace(base,
-                    static_cast<std::uint32_t>(blocks.size()))
-            .second;
-    SIPT_ASSERT(inserted, "double free of block ", base);
+    if (2 * (blocks.size() + 1) > slots.size())
+        rehash(std::max(minSlots, 2 * slots.size()));
+    const std::size_t m = slots.size() - 1;
+    std::size_t i = home(base);
+    for (; slots[i] != 0; i = (i + 1) & m) {
+        SIPT_ASSERT(blocks[slots[i] - 1] != base,
+                    "double free of block ", base);
+    }
     blocks.push_back(base);
+    slots[i] = static_cast<std::uint32_t>(blocks.size());
 }
 
 bool
 BuddyAllocator::FreeList::erase(Pfn base)
 {
-    auto it = pos.find(base);
-    if (it == pos.end())
+    const std::size_t slot = find(base);
+    if (slot == npos)
         return false;
-    const std::uint32_t idx = it->second;
-    pos.erase(it);
+    const std::uint32_t pos = slots[slot];
     const Pfn last = blocks.back();
-    blocks.pop_back();
-    if (idx < blocks.size()) {
-        blocks[idx] = last;
-        pos[last] = idx;
+    if (pos != blocks.size()) {
+        // Swap the last block into the hole, as a list without an
+        // index would: the list order is part of the result.
+        slots[find(last)] = pos;
+        blocks[pos - 1] = last;
     }
+    blocks.pop_back();
+    removeSlot(slot);
     return true;
-}
-
-bool
-BuddyAllocator::FreeList::contains(Pfn base) const
-{
-    return pos.find(base) != pos.end();
 }
 
 Pfn
@@ -45,8 +137,7 @@ BuddyAllocator::FreeList::popBack()
 {
     SIPT_ASSERT(!blocks.empty(), "pop from empty free list");
     const Pfn base = blocks.back();
-    blocks.pop_back();
-    pos.erase(base);
+    erase(base);
     return base;
 }
 

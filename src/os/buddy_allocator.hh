@@ -17,6 +17,16 @@
  * and reproduces the sequential-PFN behaviour of burst demand
  * faults. A random-selection mode supports the paper's Fig. 18
  * "no >4KiB contiguity" sensitivity study.
+ *
+ * The order of blocks inside each free list is part of every
+ * simulated result: allocate() pops the last block,
+ * allocateRandom() picks a block by its position, and
+ * allocateColored() scans in list order. So the list is a plain
+ * vector whose order only push, pop and swap-with-last erase
+ * change, and the lookup that coalescing needs ("is my buddy
+ * free?") lives in a separate index that never reorders it: a
+ * flat open-addressed table per order, rebuilt when it grows or
+ * is copied, with no per-block heap node.
  */
 
 #ifndef SIPT_OS_BUDDY_ALLOCATOR_HH
@@ -24,7 +34,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -110,19 +119,67 @@ class BuddyAllocator
     unsigned maxOrder() const { return maxOrder_; }
 
   private:
-    /** One order's free blocks with O(1) insert/erase/pick. */
+    /**
+     * One order's free blocks with O(1) insert/erase/pick.
+     *
+     * @c blocks is the list: push appends, popBack takes the last
+     * block, and erase moves the last block into the hole. That
+     * order decides which frames later allocations get, so it
+     * must not depend on the index below.
+     *
+     * @c slots indexes @c blocks by base PFN. It is a
+     * power-of-two linear-probing table of positions in @c blocks
+     * plus one (0 marks an empty slot), hashed on the PFN the
+     * position names, so the index owns no heap node per block
+     * and a lookup compares against @c blocks itself. Deletion
+     * shifts later entries of the probe run back instead of
+     * leaving tombstones.
+     *
+     * Sizing trades memory for probe length, which is most of
+     * the cost of a push, pop or erase. The table doubles
+     * when its load would pass 1/2 and never shrinks in place:
+     * every run drains lists in its allocation phase and refills
+     * them at teardown, and halving on the way down made that
+     * teardown about twice as slow. A copy rebuilds the table at
+     * load 1/8 or less for the list's current size, so a
+     * conditioned-memory image and each run's copy of it carry
+     * no slots for blocks that left during aging, and a run
+     * starts with short probe runs.
+     */
     struct FreeList
     {
         std::vector<Pfn> blocks;
-        std::unordered_map<Pfn, std::uint32_t> pos;
+        std::vector<std::uint32_t> slots;
+        /** 64 - log2(slots.size()): the multiplicative hash
+         *  keeps this many bits fewer than 64. */
+        unsigned shift = 64;
+
+        FreeList() = default;
+        FreeList(const FreeList &other);
+        FreeList &operator=(const FreeList &other);
+        FreeList(FreeList &&) = default;
+        FreeList &operator=(FreeList &&) = default;
 
         void push(Pfn base);
         bool erase(Pfn base);
-        bool contains(Pfn base) const;
         Pfn popBack();
         Pfn popAt(std::size_t idx);
         bool empty() const { return blocks.empty(); }
         std::size_t size() const { return blocks.size(); }
+
+      private:
+        static constexpr std::size_t npos = ~std::size_t{0};
+
+        std::size_t home(Pfn base) const;
+        /** Slot holding @p base, or npos. */
+        std::size_t find(Pfn base) const;
+        /** Empty @p hole, shifting its probe run back over it. */
+        void removeSlot(std::size_t hole);
+        /** Rebuild the index with @p capacity slots. */
+        void rehash(std::size_t capacity);
+        /** Rebuild the index at the smallest size that holds
+         *  @c blocks at load 1/8 or less (none when empty). */
+        void reindex();
     };
 
     /** Buddy of block @p base at @p order. */

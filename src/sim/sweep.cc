@@ -570,19 +570,21 @@ SweepRunner::post(std::function<void()> work)
     poolCv_.notify_one();
 }
 
-void
-SweepRunner::runGenericTraced(const std::function<void()> &work)
+SweepRunner::GenericTaskScope::GenericTaskScope(SweepRunner &runner)
+    : runner_(runner), tracer_(trace::Tracer::globalIfEnabled())
 {
-    trace::Tracer *tracer = trace::Tracer::globalIfEnabled();
-    if (!tracer) {
-        work();
-        return;
+    if (tracer_)
+        startUs_ = traceUs(std::chrono::steady_clock::now());
+}
+
+SweepRunner::GenericTaskScope::~GenericTaskScope()
+{
+    if (tracer_) {
+        const double end_us = traceUs(std::chrono::steady_clock::now());
+        tracer_->span("sweep", "task", traceWorkerLane(), startUs_,
+                      end_us - startUs_);
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    work();
-    const auto t1 = std::chrono::steady_clock::now();
-    tracer->span("sweep", "task", traceWorkerLane(), traceUs(t0),
-                 traceUs(t1) - traceUs(t0));
+    runner_.noteGenericDone();
 }
 
 void

@@ -53,6 +53,11 @@
 #include "common/json.hh"
 #include "sim/system.hh"
 
+namespace sipt::trace
+{
+class Tracer;
+} // namespace sipt::trace
+
 namespace sipt::sim
 {
 
@@ -190,24 +195,18 @@ class SweepRunner
     async(F fn) -> std::shared_future<std::invoke_result_t<F>>
     {
         using T = std::invoke_result_t<F>;
-        // Count the task before the packaged_task fulfils the
-        // future (the guard runs once fn's result exists, or as
-        // it throws), as enqueue() counts before set_value(): a
-        // caller back from get() must already see it in stats().
-        struct CountOnExit
-        {
-            SweepRunner *runner;
-            ~CountOnExit() { runner->noteGenericDone(); }
-        };
+        // Close the task's scope before the packaged_task fulfils
+        // the future (the scope ends once fn's result exists, or
+        // as it throws), as enqueue() counts before set_value():
+        // a caller back from get() must already see the task in
+        // stats() and its span in the trace.
         auto task = std::make_shared<std::packaged_task<T()>>(
             [this, fn = std::move(fn)]() mutable -> T {
-                const CountOnExit count{this};
+                const GenericTaskScope scope(*this);
                 return fn();
             });
         auto fut = task->get_future().share();
-        post([this, task] {
-            runGenericTraced([&] { (*task)(); });
-        });
+        post([task] { (*task)(); });
         return fut;
     }
 
@@ -250,10 +249,25 @@ class SweepRunner
     /** Run @p work now (threads==1) or on the pool. */
     void post(std::function<void()> work);
 
-    /** Run one generic task, emitting a wall-clock trace span
-     *  around it when SIPT_TRACE is set (the clock reads live in
-     *  sweep.cc, which owns the nondeterminism allowance). */
-    void runGenericTraced(const std::function<void()> &work);
+    /**
+     * Lives for one generic task's body. On exit, normal or
+     * throwing, it emits the task's wall-clock span when SIPT_TRACE
+     * is set and counts the task (the clock reads live in
+     * sweep.cc, which owns the nondeterminism allowance).
+     */
+    class GenericTaskScope
+    {
+      public:
+        explicit GenericTaskScope(SweepRunner &runner);
+        ~GenericTaskScope();
+        GenericTaskScope(const GenericTaskScope &) = delete;
+        GenericTaskScope &operator=(const GenericTaskScope &) = delete;
+
+      private:
+        SweepRunner &runner_;
+        trace::Tracer *tracer_;
+        double startUs_ = 0.0;
+    };
 
     void noteSubmitted();
     void noteGenericDone();

@@ -17,12 +17,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/trace.hh"
 #include "sim/sweep.hh"
 
 namespace sipt::sim
@@ -228,6 +232,58 @@ TEST(SweepRace, GenericTaskCountedBeforeItsFutureIsReady)
             ASSERT_EQ(futures[i].get(), i);
         ASSERT_EQ(runner.stats().genericTasks, round * tasks);
     }
+}
+
+/** Body of GenericTaskSpanTracedBeforeItsFutureIsReady, run in
+ *  a fresh process whose SIPT_TRACE names @p path. */
+[[noreturn]] void
+countTaskSpansPerRound(const std::string &path)
+{
+    setenv("SIPT_TRACE", path.c_str(), 1);
+    trace::Tracer &tracer = trace::Tracer::global();
+    constexpr std::uint64_t tasks = 8;
+    constexpr std::uint64_t rounds = 300;
+    {
+        SweepRunner runner(SweepOptions{4, "-"});
+        for (std::uint64_t round = 1; round <= rounds; ++round) {
+            std::vector<std::shared_future<std::uint64_t>> futures;
+            for (std::uint64_t i = 0; i < tasks; ++i)
+                futures.push_back(runner.async([i] { return i; }));
+            for (auto &f : futures)
+                f.get();
+            // Nothing but the tasks writes to this trace.
+            if (tracer.events() != round * tasks) {
+                std::cerr << "round " << round << ": "
+                          << tracer.events() << " spans\n";
+                std::exit(1);
+            }
+        }
+    }
+    tracer.flush();
+    std::ifstream in(path);
+    std::uint64_t spans = 0;
+    for (std::string line; std::getline(in, line);)
+        spans += line.find("\"name\":\"task\"") != std::string::npos;
+    if (spans != rounds * tasks) {
+        std::cerr << spans << " task spans in the file\n";
+        std::exit(1);
+    }
+    std::exit(0);
+}
+
+TEST(SweepRace, GenericTaskSpanTracedBeforeItsFutureIsReady)
+{
+    // A caller that exits right after its last get() must not
+    // lose the span of the task it waited for: every task's span
+    // is written by the time its future is ready. The tracer is
+    // process-global and configured once from SIPT_TRACE, so the
+    // check runs in a re-executed child that sets it first.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string path =
+        ::testing::TempDir() + "sweep_task_spans.jsonl";
+    EXPECT_EXIT(countTaskSpansPerRound(path),
+                ::testing::ExitedWithCode(0), "");
+    std::filesystem::remove(path);
 }
 
 TEST(SweepRace, WorkersConditioningOneNewMemoryKeyAgree)
