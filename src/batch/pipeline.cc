@@ -47,21 +47,7 @@ constexpr std::size_t accountPrefetchDist = 4;
 
 } // namespace
 
-BatchPipeline::BatchPipeline(cpu::TraceSource &source,
-                             vm::Mmu &mmu,
-                             const vm::PageTable &page_table,
-                             SiptL1Cache &l1, cpu::TraceCore &core)
-    : source_(source), mmu_(mmu), pageTable_(page_table), l1_(l1),
-      core_(core), check_(l1.params().check),
-      options_(BatchOptions::fromEnv())
-{
-    SIPT_ASSERT(!mmu.hasWalker(),
-                "batched engine cannot time radix page walks");
-    buildFlatMap();
-}
-
-void
-BatchPipeline::buildFlatMap()
+FlatPageMap::FlatPageMap(const vm::PageTable &table)
 {
     Vpn small_lo = ~Vpn{0};
     Vpn small_hi = 0;
@@ -69,12 +55,12 @@ BatchPipeline::buildFlatMap()
     Vpn huge_hi = 0;
     std::uint64_t smalls = 0;
     std::uint64_t huges = 0;
-    pageTable_.forEachSmall([&](Vpn vpn, Pfn) {
+    table.forEachSmall([&](Vpn vpn, Pfn) {
         small_lo = std::min(small_lo, vpn);
         small_hi = std::max(small_hi, vpn);
         ++smalls;
     });
-    pageTable_.forEachHuge([&](Vpn chunk, Pfn) {
+    table.forEachHuge([&](Vpn chunk, Pfn) {
         huge_lo = std::min(huge_lo, chunk);
         huge_hi = std::max(huge_hi, chunk);
         ++huges;
@@ -87,44 +73,75 @@ BatchPipeline::buildFlatMap()
     if (small_span + huge_span > maxFlatSlots)
         return; // pathologically sparse VA layout: stay unflattened
 
-    flat_.smallBase = smalls ? small_lo : 0;
-    flat_.smallFrame.assign(
-        static_cast<std::size_t>(small_span),
-        FlatPageMap::unmapped);
-    flat_.hugeBase = huges ? huge_lo : 0;
-    flat_.hugeFrame.assign(static_cast<std::size_t>(huge_span),
-                           FlatPageMap::unmapped);
-    pageTable_.forEachSmall([&](Vpn vpn, Pfn pfn) {
-        flat_.smallFrame[vpn - flat_.smallBase] = pageBase(pfn);
+    smallBase_ = smalls ? small_lo : 0;
+    smallFrame_.assign(static_cast<std::size_t>(small_span),
+                       unmapped);
+    hugeBase_ = huges ? huge_lo : 0;
+    hugeFrame_.assign(static_cast<std::size_t>(huge_span),
+                      unmapped);
+    table.forEachSmall([&](Vpn vpn, Pfn pfn) {
+        smallFrame_[vpn - smallBase_] = pageBase(pfn);
     });
-    pageTable_.forEachHuge([&](Vpn chunk, Pfn base_pfn) {
-        flat_.hugeFrame[chunk - flat_.hugeBase] =
-            pageBase(base_pfn);
+    table.forEachHuge([&](Vpn chunk, Pfn base_pfn) {
+        hugeFrame_[chunk - hugeBase_] = pageBase(base_pfn);
     });
-    flat_.valid = true;
+    valid_ = true;
 }
 
 vm::Translation
-BatchPipeline::flatTranslate(Addr vaddr) const
+FlatPageMap::translate(Addr vaddr) const
 {
     // Huge mappings first, mirroring PageTable::translate().
     const Vpn chunk = hugePageNumber(vaddr);
-    if (chunk - flat_.hugeBase < flat_.hugeFrame.size()) {
-        const Addr base = flat_.hugeFrame[chunk - flat_.hugeBase];
-        if (base != FlatPageMap::unmapped) {
+    if (chunk - hugeBase_ < hugeFrame_.size()) {
+        const Addr base = hugeFrame_[chunk - hugeBase_];
+        if (base != unmapped) {
             return vm::Translation{
                 base | (vaddr & mask(hugePageShift)), true};
         }
     }
     const Vpn vpn = pageNumber(vaddr);
-    if (vpn - flat_.smallBase < flat_.smallFrame.size()) {
-        const Addr base = flat_.smallFrame[vpn - flat_.smallBase];
-        if (base != FlatPageMap::unmapped) {
-            return vm::Translation{base | pageOffset(vaddr),
-                                   false};
-        }
+    if (vpn - smallBase_ < smallFrame_.size()) {
+        const Addr base = smallFrame_[vpn - smallBase_];
+        if (base != unmapped)
+            return vm::Translation{base | pageOffset(vaddr), false};
     }
     panic("MMU translate of unmapped va ", vaddr);
+}
+
+void
+FlatPageMap::prefetch(Addr vaddr) const
+{
+    const Vpn chunk = hugePageNumber(vaddr);
+    if (chunk - hugeBase_ < hugeFrame_.size())
+        prefetchRead(&hugeFrame_[chunk - hugeBase_]);
+    const Vpn vpn = pageNumber(vaddr);
+    if (vpn - smallBase_ < smallFrame_.size())
+        prefetchRead(&smallFrame_[vpn - smallBase_]);
+}
+
+BatchPipeline::BatchPipeline(cpu::TraceSource &source,
+                             vm::Mmu &mmu,
+                             const vm::PageTable &page_table,
+                             SiptL1Cache &l1, cpu::TraceCore &core)
+    : BatchPipeline(source, mmu, page_table,
+                    std::make_shared<const FlatPageMap>(page_table),
+                    l1, core)
+{
+}
+
+BatchPipeline::BatchPipeline(cpu::TraceSource &source,
+                             vm::Mmu &mmu,
+                             const vm::PageTable &page_table,
+                             std::shared_ptr<const FlatPageMap> flat,
+                             SiptL1Cache &l1, cpu::TraceCore &core)
+    : source_(source), mmu_(mmu), pageTable_(page_table),
+      flat_(std::move(flat)), l1_(l1), core_(core),
+      check_(l1.params().check), options_(BatchOptions::fromEnv())
+{
+    SIPT_ASSERT(!mmu.hasWalker(),
+                "batched engine cannot time radix page walks");
+    SIPT_ASSERT(flat_ != nullptr, "batched engine needs a page map");
 }
 
 cpu::CoreResult
@@ -156,23 +173,15 @@ BatchPipeline::translateBatch(cpu::RefBatch &batch)
     // the page table's hash probes; the TLB hierarchy still sees
     // every reference, in order, through translateEntry().
     const bool check = check_.enabled;
-    const bool flat = flat_.valid;
+    const FlatPageMap &map = *flat_;
+    const bool flat = map.valid();
     for (std::size_t i = 0; i < batch.size; ++i) {
-        if (flat && i + xlatPrefetchDist < batch.size) {
-            const Addr ahead = batch.vaddr[i + xlatPrefetchDist];
-            const Vpn chunk = hugePageNumber(ahead);
-            if (chunk - flat_.hugeBase < flat_.hugeFrame.size())
-                prefetchRead(
-                    &flat_.hugeFrame[chunk - flat_.hugeBase]);
-            const Vpn vpn = pageNumber(ahead);
-            if (vpn - flat_.smallBase < flat_.smallFrame.size())
-                prefetchRead(
-                    &flat_.smallFrame[vpn - flat_.smallBase]);
-        }
+        if (flat && i + xlatPrefetchDist < batch.size)
+            map.prefetch(batch.vaddr[i + xlatPrefetchDist]);
         const Addr va = batch.vaddr[i];
         vm::Translation entry;
         if (flat) {
-            entry = flatTranslate(va);
+            entry = map.translate(va);
         } else {
             const auto xlat = pageTable_.translate(va);
             if (!xlat)

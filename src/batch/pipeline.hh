@@ -40,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,48 @@ struct BatchOptions
 };
 
 /**
+ * Flat, pointer-free snapshot of a page table: the VA->PA function
+ * as arrays indexed by page number, saving the page table's
+ * per-reference chunk probe (a hash lookup on the 2 MiB chunk
+ * number). Valid only while the table is unchanged, which holds for
+ * a whole run: the allocation phase touched every page before the
+ * first reference. The golden-TLB check compares every translation
+ * against the live page table whenever SIPT_CHECK is on, guarding
+ * the snapshot. Huge mappings are consulted before small ones,
+ * mirroring PageTable::translate().
+ */
+class FlatPageMap
+{
+  public:
+    /** Snapshot @p table (capped at a fixed number of slots). */
+    explicit FlatPageMap(const vm::PageTable &table);
+
+    /** False when the VA span was too sparse to flatten (the
+     *  translate stage then queries the page table directly). */
+    bool valid() const { return valid_; }
+
+    /** Resolve @p vaddr. @pre valid(); panics when unmapped. */
+    vm::Translation translate(Addr vaddr) const;
+
+    /** Start loading the slots translate(@p vaddr) will read. */
+    void prefetch(Addr vaddr) const;
+
+  private:
+    /** Sentinel frame value for unmapped slots. */
+    static constexpr Addr unmapped = ~Addr{0};
+
+    /** First 4 KiB VPN covered by smallFrame_. */
+    Vpn smallBase_ = 0;
+    /** Page-aligned physical base per 4 KiB VPN. */
+    std::vector<Addr> smallFrame_;
+    /** First 2 MiB chunk number covered by hugeFrame_. */
+    Vpn hugeBase_ = 0;
+    /** 2 MiB-aligned physical base per chunk number. */
+    std::vector<Addr> hugeFrame_;
+    bool valid_ = false;
+};
+
+/**
  * Drives one core's warmup/measure episodes through the staged
  * batch loop. Construct once per core; run() may be called
  * repeatedly (timing state carries over, like TraceCore::run).
@@ -80,6 +123,8 @@ class BatchPipeline
 {
   public:
     /**
+     * Snapshot @p page_table into a private FlatPageMap.
+     *
      * @pre @p mmu has no radix walker attached (walk latency
      *      depends on the issue cycle, which the translate stage
      *      does not know yet).
@@ -87,6 +132,15 @@ class BatchPipeline
     BatchPipeline(cpu::TraceSource &source, vm::Mmu &mmu,
                   const vm::PageTable &page_table, SiptL1Cache &l1,
                   cpu::TraceCore &core);
+
+    /**
+     * Translate through @p flat, a snapshot of @p page_table that
+     * other pipelines may share (one per process image).
+     */
+    BatchPipeline(cpu::TraceSource &source, vm::Mmu &mmu,
+                  const vm::PageTable &page_table,
+                  std::shared_ptr<const FlatPageMap> flat,
+                  SiptL1Cache &l1, cpu::TraceCore &core);
 
     /**
      * Run up to @p max_refs references. Stream-equivalent to
@@ -100,41 +154,6 @@ class BatchPipeline
     const std::string &checkFailure() const { return failure_; }
 
   private:
-    /**
-     * Flat, pointer-free snapshot of the page table, taken at
-     * construction. The table is immutable during a run (the
-     * allocation phase touched every page before the first
-     * reference), so the VA->PA function can be arrays indexed by
-     * page number, saving the page table's per-reference chunk
-     * probe (a hash lookup on the 2 MiB chunk number) — the
-     * golden-TLB check compares every translation against the live
-     * page table whenever SIPT_CHECK is on, guarding the snapshot.
-     * Huge mappings are consulted before small ones, mirroring
-     * PageTable::translate().
-     */
-    struct FlatPageMap
-    {
-        /** Sentinel frame value for unmapped slots. */
-        static constexpr Addr unmapped = ~Addr{0};
-        /** First 4 KiB VPN covered by smallFrame. */
-        Vpn smallBase = 0;
-        /** Page-aligned physical base per 4 KiB VPN. */
-        std::vector<Addr> smallFrame;
-        /** First 2 MiB chunk number covered by hugeFrame. */
-        Vpn hugeBase = 0;
-        /** 2 MiB-aligned physical base per chunk number. */
-        std::vector<Addr> hugeFrame;
-        /** False when the VA span was too sparse to flatten (the
-         *  translate stage then queries the page table directly).*/
-        bool valid = false;
-    };
-
-    /** Build the snapshot (capped at maxFlatSlots array slots). */
-    void buildFlatMap();
-
-    /** Resolve @p vaddr through the snapshot. @pre flat_.valid. */
-    vm::Translation flatTranslate(Addr vaddr) const;
-
     void translateBatch(cpu::RefBatch &batch);
     void predictBatch(cpu::RefBatch &batch);
     void accountBatch(cpu::RefBatch &batch);
@@ -143,11 +162,11 @@ class BatchPipeline
     cpu::TraceSource &source_;
     vm::Mmu &mmu_;
     const vm::PageTable &pageTable_;
+    std::shared_ptr<const FlatPageMap> flat_;
     SiptL1Cache &l1_;
     cpu::TraceCore &core_;
     check::Options check_;
     BatchOptions options_;
-    FlatPageMap flat_;
     cpu::RefBatch batch_;
     std::string failure_;
 };

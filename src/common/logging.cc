@@ -5,12 +5,25 @@
 
 namespace sipt
 {
+namespace
+{
+/** Live FatalThrowScopes on this thread. Thread-confined: each
+ *  thread reads and writes only its own copy. */
+thread_local unsigned fatalThrowDepth = 0;
+} // namespace
+
+FatalThrowScope::FatalThrowScope() { ++fatalThrowDepth; }
+
+FatalThrowScope::~FatalThrowScope() { --fatalThrowDepth; }
+
 namespace detail
 {
 
 void
 fatalImpl(const std::string &msg, const char *, int)
 {
+    if (fatalThrowDepth > 0)
+        throw FatalError(msg);
     std::cerr << "fatal: " << msg << std::endl;
     std::exit(1);
 }

@@ -3,15 +3,17 @@
  * Error and status reporting in the gem5 idiom.
  *
  * @c fatal() terminates on a user error (bad configuration) with
- * exit(1); @c panic() terminates on an internal invariant violation
- * with abort(); @c warn() reports suspicious-but-survivable
- * conditions.
+ * exit(1) -- or, on a thread inside a FatalThrowScope (a sweep pool
+ * worker), throws FatalError so the error reaches the job's caller;
+ * @c panic() terminates on an internal invariant violation with
+ * abort(); @c warn() reports suspicious-but-survivable conditions.
  */
 
 #ifndef SIPT_COMMON_LOGGING_HH
 #define SIPT_COMMON_LOGGING_HH
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace sipt
@@ -39,9 +41,34 @@ void informImpl(const std::string &msg);
 
 } // namespace detail
 
+/** What fatal() throws inside a FatalThrowScope; what() is the
+ *  message fatal() would have printed. */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * While one is alive on a thread, fatal() on that thread throws
+ * FatalError instead of calling exit(). Sweep pool workers hold one
+ * for their lifetime: exit() on a worker would run the static
+ * destructors, which join the process-wide pool from inside it.
+ * Scopes nest; the mode is per thread, so no thread sees another's.
+ */
+class FatalThrowScope
+{
+  public:
+    FatalThrowScope();
+    ~FatalThrowScope();
+    FatalThrowScope(const FatalThrowScope &) = delete;
+    FatalThrowScope &operator=(const FatalThrowScope &) = delete;
+};
+
 /**
  * Abort the simulation because of a user error (bad configuration,
- * invalid arguments). Exits with status 1.
+ * invalid arguments). Exits with status 1, or throws FatalError
+ * inside a FatalThrowScope.
  */
 template <typename... Args>
 [[noreturn]] void

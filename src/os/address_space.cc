@@ -17,7 +17,7 @@ constexpr unsigned hugeOrder = hugePageShift - pageShift;
 AddressSpace::AddressSpace(BuddyAllocator &allocator,
                            PagingPolicy policy, std::uint64_t seed,
                            Addr va_base)
-    : allocator_(allocator), policy_(policy), rng_(seed),
+    : allocator_(&allocator), policy_(policy), rng_(seed),
       nextVa_(va_base)
 {
     if (policy_.coloringBits > hugeOrder)
@@ -27,7 +27,22 @@ AddressSpace::AddressSpace(BuddyAllocator &allocator,
 AddressSpace::~AddressSpace()
 {
     for (const auto &a : allocations_)
-        allocator_.free(a.base, a.order);
+        allocator_->free(a.base, a.order);
+}
+
+BuddyAllocator &
+AddressSpace::allocator()
+{
+    SIPT_ASSERT(allocator_ != nullptr,
+                "address space detached from its allocator");
+    return *allocator_;
+}
+
+void
+AddressSpace::forgetFrames()
+{
+    allocator_ = nullptr;
+    allocations_ = {};
 }
 
 Addr
@@ -252,7 +267,7 @@ AddressSpace::fault(Addr vaddr)
         if (inside && !pageTable_.chunkHasSmallMappings(vaddr) &&
             (policy_.thpChance >= 1.0 ||
              rng_.chance(policy_.thpChance))) {
-            if (auto pfn = allocator_.allocate(hugeOrder)) {
+            if (auto pfn = allocator().allocate(hugeOrder)) {
                 pageTable_.mapHugePage(vaddr, *pfn);
                 allocations_.push_back({*pfn, hugeOrder});
                 ++hugeFaults_;
@@ -266,16 +281,17 @@ AddressSpace::fault(Addr vaddr)
 void
 AddressSpace::mapSmall(Addr vaddr)
 {
+    BuddyAllocator &buddy = allocator();
     std::optional<Pfn> pfn;
     if (policy_.randomPlacement) {
-        pfn = allocator_.allocateRandom(0, rng_);
+        pfn = buddy.allocateRandom(0, rng_);
     } else if (policy_.coloringBits > 0) {
-        pfn = allocator_.allocateColored(0, pageNumber(vaddr),
-                                         policy_.coloringBits);
+        pfn = buddy.allocateColored(0, pageNumber(vaddr),
+                                    policy_.coloringBits);
         if (!pfn)
-            pfn = allocator_.allocate(0);
+            pfn = buddy.allocate(0);
     } else {
-        pfn = allocator_.allocate(0);
+        pfn = buddy.allocate(0);
     }
     if (!pfn)
         fatal("out of physical memory");

@@ -207,8 +207,19 @@ class AddressSpace
     /** COW clone pages still sharing their source frame. */
     std::uint64_t cowSharedPages() const;
 
-    /** The physical allocator backing this address space. */
-    BuddyAllocator &allocator() { return allocator_; }
+    /** The physical allocator backing this address space.
+     *  @pre forgetFrames() has not been called. */
+    BuddyAllocator &allocator();
+
+    /**
+     * Detach from the allocator: the frames this address space
+     * owns stay mapped but are never returned, so the allocator may
+     * be destroyed first. Afterwards the address space is frozen:
+     * a demand fault, COW break or allocator() is a bug. A process
+     * image calls this once its allocation phase is done, because
+     * nothing later frees into that allocator.
+     */
+    void forgetFrames();
 
     const PagingPolicy &policy() const { return policy_; }
 
@@ -246,7 +257,8 @@ class AddressSpace
     /** Pick and map a 4 KiB frame for @p vaddr. */
     void mapSmall(Addr vaddr);
 
-    BuddyAllocator &allocator_;
+    /** Null once forgetFrames() has run. */
+    BuddyAllocator *allocator_;
     PagingPolicy policy_;
     Rng rng_;
     Addr nextVa_;

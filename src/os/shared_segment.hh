@@ -72,8 +72,14 @@ class SharedSegment
      *  @pre hugePages() */
     Pfn chunkPfn(std::uint64_t chunk_index) const;
 
+    /** Keep the frames at destruction instead of returning them,
+     *  so the allocator may be destroyed first (see
+     *  AddressSpace::forgetFrames()). */
+    void forgetFrames() { allocator_ = nullptr; }
+
   private:
-    BuddyAllocator &allocator_;
+    /** Null once forgetFrames() has run. */
+    BuddyAllocator *allocator_;
     std::uint64_t length_;
     bool hugePages_;
     /** Base PFN per allocation unit (page, or 2 MiB chunk). */

@@ -514,6 +514,9 @@ SweepRunner::SweepRunner(const SweepOptions &options)
         workers_.reserve(threads_);
         for (unsigned t = 0; t < threads_; ++t) {
             workers_.emplace_back([this] {
+                // A job's fatal() reaches its caller through the
+                // job's future, never as exit() on this thread.
+                const FatalThrowScope fatal_throws;
                 for (;;) {
                     std::function<void()> work;
                     {
@@ -548,8 +551,8 @@ SweepRunner &
 SweepRunner::global()
 {
     // Magic-static init is thread-safe and SweepRunner is
-    // internally synchronised; this and the conditioned-memory memo
-    // in system.cc are the sanctioned process-global mutable state.
+    // internally synchronised; this and the memos in system.cc are
+    // the sanctioned process-global mutable state.
     // sipt-lint: allow(mutable-static)
     static SweepRunner runner;
     return runner;

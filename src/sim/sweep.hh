@@ -7,12 +7,16 @@
  * hardware_concurrency(); 1 = run jobs inline, exactly the old
  * sequential behaviour). Each job is deterministic in isolation —
  * runSingleCore()/runMulticore() build every stateful component
- * (allocator, address space, RNG streams, predictors) locally from
- * SystemConfig::seed and the app name, and the simulator has no
- * mutable globals (audited: the only namespace-level statics are
- * const lookup tables with thread-safe initialisation) — so results
- * are bit-identical for any thread count and benches fetch futures
- * in submission order to keep their printed tables byte-identical.
+ * (RNG streams, TLBs, predictors, caches, core) locally from
+ * SystemConfig::seed and the app name, over a process image that is
+ * itself a pure function of the key and is shared read-only (see
+ * sim/system.hh); beyond that memo the simulator has no mutable
+ * globals (audited: the other namespace-level statics are const
+ * lookup tables with thread-safe initialisation) — so results are
+ * bit-identical for any thread count and benches fetch futures in
+ * submission order to keep their printed tables byte-identical. A
+ * job that calls fatal() on a worker fails its future with
+ * FatalError instead of exiting the process.
  *
  * On top of the pool sits a memoizing run cache keyed on
  * (app, SystemConfig):

@@ -5,21 +5,18 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string_view>
 
-#include "batch/pipeline.hh"
 #include "common/env.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "dram/dram.hh"
-#include "os/address_space.hh"
-#include "os/buddy_allocator.hh"
 #include "os/fragmenter.hh"
-#include "os/shared_segment.hh"
+#include "sim/lru_memo.hh"
 #include "workload/profile.hh"
 #include "workload/synonym.hh"
 #include "workload/synthetic.hh"
+#include "workload/trace_format.hh"
 #include "workload/trace_record.hh"
 #include "workload/trace_replay.hh"
 
@@ -58,70 +55,56 @@ conditionFresh(const MemoryKey &key)
     return os::BuddyAllocator(buddy);
 }
 
-/**
- * Process-wide memo of immutable conditioned-memory images, most
- * recently used first. Conditioning and copying run outside the
- * lock, so distinct keys condition in parallel; workers racing on
- * one new key each compute the same image and the first insert
- * wins.
- */
-class ConditionedMemoryMemo
+/** Everything a process image depends on. */
+struct ImageKey
 {
-  public:
-    /** A private copy of @p key's image. */
-    os::BuddyAllocator
-    get(const MemoryKey &key)
+    /** One core's part of the key. */
+    struct Core
     {
-        Image image;
-        {
-            std::lock_guard lock(mu_);
-            image = touch(key);
-        }
-        if (!image) {
-            auto fresh = std::make_shared<const os::BuddyAllocator>(
-                conditionFresh(key));
-            std::lock_guard lock(mu_);
-            image = touch(key);
-            if (!image) {
-                image = fresh;
-                entries_.emplace(entries_.begin(), key, fresh);
-                if (entries_.size() > conditionedMemoryEntries)
-                    entries_.pop_back();
-            }
-        }
-        return *image;
-    }
+        std::string app;
+        /** Derived seed (runSingleCore and runMulticore differ). */
+        std::uint64_t seed = 0;
+        /** workload::traceLayoutHash() of a trace app's file (0
+         *  otherwise), so a trace re-recorded in place keys a new
+         *  image. */
+        std::uint64_t traceHash = 0;
+        bool operator==(const Core &) const = default;
+    };
 
-  private:
-    using Image = std::shared_ptr<const os::BuddyAllocator>;
-
-    /** @p key's image, moved to the front; null when absent.
-     *  @pre mu_ is held. */
-    Image
-    touch(const MemoryKey &key)
-    {
-        const auto it = std::find_if(
-            entries_.begin(), entries_.end(),
-            [&](const auto &entry) { return entry.first == key; });
-        if (it == entries_.end())
-            return nullptr;
-        std::rotate(entries_.begin(), it, it + 1);
-        return entries_.front().second;
-    }
-
-    std::mutex mu_;
-    std::vector<std::pair<MemoryKey, Image>> entries_;
+    MemoryKey memory;
+    MemCondition condition = MemCondition::Normal;
+    double footprintScale = 1.0;
+    std::vector<Core> cores;
+    bool operator==(const ImageKey &) const = default;
 };
 
-ConditionedMemoryMemo &
-conditionedMemoryMemo()
+/** The process-wide memos: pure functions of their keys, holding
+ *  only immutable values. */
+struct Memos
+{
+    LruMemo<MemoryKey, os::BuddyAllocator> memory{
+        conditionedMemoryEntries};
+    LruMemo<ImageKey, ProcessImage> images{processImageEntries};
+};
+
+Memos &
+memos()
 {
     // The second sanctioned process-global (after
-    // SweepRunner::global()): it caches a pure function of its key
-    // and hands out copies, so no run can observe another.
+    // SweepRunner::global()): each memo caches a pure function of
+    // its key and hands out only immutable values or copies, so no
+    // run can observe another.
     // sipt-lint: allow(mutable-static)
-    static ConditionedMemoryMemo memo;
-    return memo;
+    static Memos memos;
+    return memos;
+}
+
+/** A private copy of @p key's conditioned memory. */
+os::BuddyAllocator
+conditionedCopy(const MemoryKey &key)
+{
+    return *memos().memory.get(key,
+                               [&] { return conditionFresh(key); });
 }
 
 /** Glue: MMU + L1 behind the core's memory port. */
@@ -204,10 +187,11 @@ class WalkThroughCaches : public vm::WalkPort
     cache::BelowL1 &below_;
 };
 
-/** Everything one core owns. */
+/** One core's run state over its process in an image. */
 struct CoreInstance
 {
-    std::unique_ptr<os::AddressSpace> as;
+    const ProcessImage::Process *process = nullptr;
+    /** Private copy of the image's post-allocation cursor. */
     std::unique_ptr<cpu::TraceSource> workload;
     std::unique_ptr<vm::Mmu> mmu;
     std::unique_ptr<cache::BelowL1> below;
@@ -252,10 +236,10 @@ useBatchEngine(const SystemConfig &config)
 }
 
 os::PagingPolicy
-policyFor(const SystemConfig &config, double thp_affinity)
+policyFor(MemCondition condition, double thp_affinity)
 {
     os::PagingPolicy pol;
-    switch (config.condition) {
+    switch (condition) {
       case MemCondition::Normal:
       case MemCondition::Fragmented:
         pol.thpEnabled = true;
@@ -272,45 +256,142 @@ policyFor(const SystemConfig &config, double thp_affinity)
     return pol;
 }
 
-CoreInstance
-buildCore(const SystemConfig &config, const std::string &app,
-          os::BuddyAllocator &buddy, cache::TimingCache &llc,
-          dram::Dram &dram, std::uint64_t seed,
-          const os::SharedSegment *shared = nullptr)
+/** Copies a cursor of concrete type Source. */
+template <typename Source>
+std::unique_ptr<cpu::TraceSource>
+copyCursor(const cpu::TraceSource &prototype)
 {
-    CoreInstance inst;
-    if (isTraceApp(app)) {
+    return std::make_unique<Source>(
+        static_cast<const Source &>(prototype));
+}
+
+/** Run one core's allocation phase over @p buddy. */
+ProcessImage::Process
+buildProcess(const ImageKey &key, const ImageKey::Core &core,
+             os::BuddyAllocator &buddy,
+             const os::SharedSegment *shared)
+{
+    ProcessImage::Process proc;
+    proc.seed = core.seed;
+    std::unique_ptr<os::AddressSpace> as;
+    if (isTraceApp(core.app)) {
         // Replay: the trace supplies the layout and mapping, so
         // the paging policy and footprint scale are moot (no
         // demand fault ever fires).
-        inst.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
-        inst.workload =
-            std::make_unique<workload::TraceReplaySource>(
-                traceAppPath(app), *inst.as, /*loop=*/true);
-    } else if (workload::isSynonymApp(app)) {
+        as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(key.condition, 0.0), core.seed + 1);
+        proc.cursor = std::make_unique<workload::TraceReplaySource>(
+            traceAppPath(core.app), *as, /*loop=*/true);
+        proc.copyCursor = &copyCursor<workload::TraceReplaySource>;
+    } else if (workload::isSynonymApp(core.app)) {
         // Multi-mapping scenarios: mmapAlias/mmapCow need
         // small-mapped sources, so THP stays off for these
         // regardless of condition. Footprints are fixed (no
         // scaling): a few hundred KiB against gigabytes.
-        inst.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
-        inst.workload =
-            std::make_unique<workload::SynonymWorkload>(
-                workload::synonymSpec(app), *inst.as, seed + 2,
-                shared);
+        as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(key.condition, 0.0), core.seed + 1);
+        proc.cursor = std::make_unique<workload::SynonymWorkload>(
+            workload::synonymSpec(core.app), *as, core.seed + 2,
+            shared);
+        proc.copyCursor = &copyCursor<workload::SynonymWorkload>;
     } else {
-        workload::AppProfile profile = workload::appProfile(app);
+        workload::AppProfile profile = workload::appProfile(core.app);
         profile.footprintBytes = static_cast<std::uint64_t>(
             static_cast<double>(profile.footprintBytes) *
-            config.footprintScale);
-        inst.as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, profile.thpAffinity),
-            seed + 1);
-        inst.workload =
-            std::make_unique<workload::SyntheticWorkload>(
-                profile, *inst.as, seed + 2);
+            key.footprintScale);
+        as = std::make_unique<os::AddressSpace>(
+            buddy, policyFor(key.condition, profile.thpAffinity),
+            core.seed + 1);
+        proc.cursor = std::make_unique<workload::SyntheticWorkload>(
+            profile, *as, core.seed + 2);
+        proc.copyCursor = &copyCursor<workload::SyntheticWorkload>;
     }
+    as->forgetFrames();
+    proc.flat =
+        std::make_shared<const batch::FlatPageMap>(as->pageTable());
+    proc.as = std::move(as);
+    return proc;
+}
+
+/**
+ * Build every core's process over one private copy of conditioned
+ * memory, in mix order, then drop that copy: the image keeps the
+ * mappings but no allocator.
+ */
+ProcessImage
+buildImage(const ImageKey &key)
+{
+    os::BuddyAllocator buddy = conditionedCopy(key.memory);
+    ProcessImage image;
+
+    // Shared-mode synonym apps naming the same profile attach the
+    // same physical segment from every core: cross-core synonyms
+    // over the shared LLC, not per-core private copies.
+    std::map<std::string, os::SharedSegment *> segments;
+    for (const ImageKey::Core &core : key.cores) {
+        if (!workload::isSynonymApp(core.app))
+            continue;
+        const workload::SynonymSpec spec =
+            workload::synonymSpec(core.app);
+        if (spec.mode != workload::SynonymSpec::Mode::Shared)
+            continue;
+        const std::string name = workload::synonymAppName(spec);
+        if (segments.count(name) != 0)
+            continue;
+        auto segment = std::make_unique<os::SharedSegment>(
+            buddy, workload::synonymMappingBytes(spec),
+            spec.hugePages);
+        segments.emplace(name, segment.get());
+        image.segments.push_back(std::move(segment));
+    }
+
+    for (const ImageKey::Core &core : key.cores) {
+        const os::SharedSegment *shared = nullptr;
+        if (workload::isSynonymApp(core.app)) {
+            const auto it = segments.find(workload::synonymAppName(
+                workload::synonymSpec(core.app)));
+            if (it != segments.end())
+                shared = it->second;
+        }
+        image.processes.push_back(
+            buildProcess(key, core, buddy, shared));
+    }
+    for (auto &[name, segment] : segments)
+        segment->forgetFrames();
+    return image;
+}
+
+/** The memoized image for @p mix with per-core @p seeds. */
+std::shared_ptr<const ProcessImage>
+imageFor(const std::vector<std::string> &mix,
+         const std::vector<std::uint64_t> &seeds,
+         const SystemConfig &config)
+{
+    ImageKey key;
+    key.memory = MemoryKey{config.physMemBytes, config.seed,
+                           config.condition ==
+                               MemCondition::Fragmented};
+    key.condition = config.condition;
+    key.footprintScale = config.footprintScale;
+    for (std::size_t c = 0; c < mix.size(); ++c) {
+        key.cores.push_back(
+            {mix[c], seeds[c],
+             isTraceApp(mix[c])
+                 ? workload::traceLayoutHash(traceAppPath(mix[c]))
+                 : 0});
+    }
+    return memos().images.get(key, [&] { return buildImage(key); });
+}
+
+/** Run state for @p proc: a fresh cursor and fresh components. */
+CoreInstance
+buildCore(const SystemConfig &config,
+          const ProcessImage::Process &proc, cache::TimingCache &llc,
+          dram::Dram &dram)
+{
+    CoreInstance inst;
+    inst.process = &proc;
+    inst.workload = proc.newCursor();
     inst.mmu = std::make_unique<vm::Mmu>(mmuPreset());
 
     const cache::TimingCacheParams l2 = l2Preset();
@@ -337,11 +418,12 @@ buildCore(const SystemConfig &config, const std::string &app,
         cpu::CoreParams p = config.outOfOrder
                                 ? cpu::outOfOrderCoreParams()
                                 : cpu::inOrderCoreParams();
-        p.seed = seed + 3;
+        p.seed = proc.seed + 3;
         return p;
     }());
-    inst.port = std::make_unique<SystemPort>(
-        *inst.mmu, inst.as->pageTable(), *inst.l1);
+    const vm::PageTable &page_table = proc.as->pageTable();
+    inst.port = std::make_unique<SystemPort>(*inst.mmu, page_table,
+                                             *inst.l1);
     if (config.radixWalker) {
         inst.walkPort =
             std::make_unique<WalkThroughCaches>(*inst.below);
@@ -351,7 +433,7 @@ buildCore(const SystemConfig &config, const std::string &app,
     }
     if (useBatchEngine(config)) {
         inst.pipeline = std::make_unique<batch::BatchPipeline>(
-            *inst.workload, *inst.mmu, inst.as->pageTable(),
+            *inst.workload, *inst.mmu, page_table, proc.flat,
             *inst.l1, *inst.core);
     }
     return inst;
@@ -378,7 +460,7 @@ collect(const std::string &app, const SystemConfig &config,
     r.l1 = inst.l1->stats();
     r.l1HitRate = inst.l1->hitRate();
     r.fastFraction = inst.l1->fastFraction();
-    r.hugeCoverage = inst.as->hugeCoverage();
+    r.hugeCoverage = inst.process->as->hugeCoverage();
     r.energy = energy::computeEnergy(
         *inst.l1, *inst.below, llc_dyn_share,
         llc_static_share_mw, seconds);
@@ -477,35 +559,15 @@ recordTrace(const std::string &app, const SystemConfig &config,
         fatal("recordTrace: cannot re-record a trace app (", app,
               ")");
 
-    // Same pre-conditioning and seed derivation as
-    // runSingleCore(): the recorded stream and layout are exactly
-    // what the live run would have seen.
-    os::BuddyAllocator buddy = conditionedMemory(config);
-
-    const std::uint64_t seed = config.seed + 10;
-    std::unique_ptr<os::AddressSpace> as;
-    std::unique_ptr<cpu::TraceSource> source;
-    if (workload::isSynonymApp(app)) {
-        as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, 0.0), seed + 1);
-        source = std::make_unique<workload::SynonymWorkload>(
-            workload::synonymSpec(app), *as, seed + 2);
-    } else {
-        workload::AppProfile profile = workload::appProfile(app);
-        profile.footprintBytes = static_cast<std::uint64_t>(
-            static_cast<double>(profile.footprintBytes) *
-            config.footprintScale);
-        as = std::make_unique<os::AddressSpace>(
-            buddy, policyFor(config, profile.thpAffinity),
-            seed + 1);
-        source = std::make_unique<workload::SyntheticWorkload>(
-            profile, *as, seed + 2);
-    }
-
-    // Allocation phase done: snapshot the layout (for synonym
-    // apps that layout is many-to-one), then tee the stream a
-    // core would consume into the file.
-    workload::TraceRecorder recorder(path, app, config.seed, *as);
+    // The live run's own image: snapshot its layout (for synonym
+    // apps that layout is many-to-one), then tee the stream a core
+    // would consume into the file.
+    const auto image = singleCoreImage(app, config);
+    const ProcessImage::Process &proc = image->processes.front();
+    const std::unique_ptr<cpu::TraceSource> source =
+        proc.newCursor();
+    workload::TraceRecorder recorder(path, app, config.seed,
+                                     *proc.as);
     cpu::TeeSource tee(*source, recorder);
     const std::uint64_t total =
         config.warmupRefs + config.measureRefs;
@@ -559,22 +621,43 @@ hashValue(const SystemConfig &config)
 os::BuddyAllocator
 conditionedMemory(const SystemConfig &config)
 {
-    return conditionedMemoryMemo().get(
+    return conditionedCopy(
         MemoryKey{config.physMemBytes, config.seed,
                   config.condition == MemCondition::Fragmented});
+}
+
+std::shared_ptr<const ProcessImage>
+singleCoreImage(const std::string &app, const SystemConfig &config)
+{
+    return imageFor({app}, {config.seed + 10}, config);
+}
+
+std::shared_ptr<const ProcessImage>
+multicoreImage(const std::vector<std::string> &mix,
+               const SystemConfig &config)
+{
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t c = 0; c < mix.size(); ++c)
+        seeds.push_back(config.seed + 100 * (c + 1));
+    return imageFor(mix, seeds, config);
+}
+
+std::uint64_t
+processImageBuilds()
+{
+    return memos().images.builds();
 }
 
 RunResult
 runSingleCore(const std::string &app, const SystemConfig &config)
 {
-    // Condition physical memory before the application starts.
-    os::BuddyAllocator buddy = conditionedMemory(config);
+    const auto image = singleCoreImage(app, config);
 
     dram::Dram dram;
     cache::TimingCache llc(llcPreset(config.outOfOrder, 1));
 
-    CoreInstance inst = buildCore(config, app, buddy, llc, dram,
-                                  config.seed + 10);
+    CoreInstance inst =
+        buildCore(config, image->processes.front(), llc, dram);
 
     inst.run(config.warmupRefs);
     resetCoreStats(inst);
@@ -596,50 +679,15 @@ runMulticore(const std::vector<std::string> &mix,
         fatal("runMulticore: empty mix");
     const auto cores = static_cast<std::uint32_t>(mix.size());
 
-    os::BuddyAllocator buddy = conditionedMemory(config);
+    const auto image = multicoreImage(mix, config);
 
     dram::Dram dram;
     cache::TimingCache llc(llcPreset(config.outOfOrder, cores));
 
-    // Shared-mode synonym apps naming the same profile attach the
-    // same physical segment from every core — cross-core synonyms
-    // over the shared LLC, not per-core private copies. Declared
-    // before the cores so the frames outlive every address space
-    // mapping them.
-    std::map<std::string, std::unique_ptr<os::SharedSegment>>
-        segments;
-    for (const std::string &app : mix) {
-        if (!workload::isSynonymApp(app))
-            continue;
-        const workload::SynonymSpec spec =
-            workload::synonymSpec(app);
-        if (spec.mode != workload::SynonymSpec::Mode::Shared)
-            continue;
-        const std::string key = workload::synonymAppName(spec);
-        if (segments.count(key) == 0) {
-            segments.emplace(
-                key,
-                std::make_unique<os::SharedSegment>(
-                    buddy, workload::synonymMappingBytes(spec),
-                    spec.hugePages));
-        }
-    }
-
     std::vector<CoreInstance> insts;
     insts.reserve(cores);
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        const os::SharedSegment *shared = nullptr;
-        if (workload::isSynonymApp(mix[c])) {
-            const auto it = segments.find(workload::synonymAppName(
-                workload::synonymSpec(mix[c])));
-            if (it != segments.end())
-                shared = it->second.get();
-        }
-        insts.push_back(buildCore(config, mix[c], buddy, llc,
-                                  dram,
-                                  config.seed + 100 * (c + 1),
-                                  shared));
-    }
+    for (const ProcessImage::Process &proc : image->processes)
+        insts.push_back(buildCore(config, proc, llc, dram));
 
     // Interleave cores in slices so LLC/DRAM contention mixes.
     constexpr std::uint64_t slice = 5'000;

@@ -2,13 +2,24 @@
  * @file
  * Full-system assembly and experiment drivers.
  *
- * runSingleCore() builds one complete simulated machine — physical
- * memory with a conditioned buddy allocator, an address space under
- * the requested paging policy, TLBs, the L1 under a chosen indexing
- * policy, the lower hierarchy, DRAM, and a core model — runs one
- * named application on it, and returns the metrics every figure of
- * the paper is built from.
+ * A run has two parts:
  *
+ *  - its process image (ProcessImage): physical memory conditioned
+ *    by a buddy allocator, one address space per core under the
+ *    requested paging policy, each workload's allocation phase, and
+ *    what that phase fixes (page tables, the batch engine's flat
+ *    page maps, shared segments, each workload's post-allocation
+ *    cursor). The image depends only on the memory key, the
+ *    condition, the footprint scale and each core's (app, seed,
+ *    trace header and layout); it is built once per process for
+ *    every run that shares those inputs and never changes
+ *    afterwards;
+ *  - its run state, built fresh per run: a copy of each workload
+ *    cursor, the TLBs, the L1 under a chosen indexing policy with
+ *    its predictors, the lower hierarchy, DRAM, and a core model.
+ *
+ * runSingleCore() runs one named application on such a machine and
+ * returns the metrics every figure of the paper is built from.
  * runMulticore() instantiates four such cores over a shared LLC,
  * DRAM, and physical allocator (Tab. III mixes, Fig. 15).
  */
@@ -17,14 +28,19 @@
 #define SIPT_SIM_SYSTEM_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "batch/pipeline.hh"
 #include "cpu/core.hh"
+#include "cpu/trace_source.hh"
 #include "energy/accounting.hh"
+#include "os/address_space.hh"
 #include "os/buddy_allocator.hh"
+#include "os/shared_segment.hh"
 #include "sim/presets.hh"
 #include "sipt/l1_cache.hh"
 #include "vm/mmu.hh"
@@ -236,6 +252,79 @@ inline constexpr std::size_t conditionedMemoryEntries = 4;
  */
 os::BuddyAllocator conditionedMemory(const SystemConfig &config);
 
+/**
+ * The immutable part of a run: everything the allocation phase
+ * fixes, for every core. Built over a private copy of conditioned
+ * memory; once every workload has allocated, the address spaces and
+ * segments forget their frames and the allocator copy is dropped,
+ * so an image holds no allocator and no run frees anything. Runs
+ * share an image read-only and advance private cursor copies.
+ */
+struct ProcessImage
+{
+    /** One core's process as its allocation phase left it. */
+    struct Process
+    {
+        /** Derived seed of this core (its address space uses
+         *  seed + 1, its workload seed + 2, its core seed + 3). */
+        std::uint64_t seed = 0;
+        /** Frozen: detached from its allocator. */
+        std::unique_ptr<const os::AddressSpace> as;
+        /** The batch engine's snapshot of as's page table. */
+        std::shared_ptr<const batch::FlatPageMap> flat;
+        /** The workload right after its allocation phase. Never
+         *  advanced: runs read it through newCursor(). */
+        std::unique_ptr<const cpu::TraceSource> cursor;
+        /** Copies @c cursor as its concrete workload type. */
+        std::unique_ptr<cpu::TraceSource> (*copyCursor)(
+            const cpu::TraceSource &) = nullptr;
+
+        /** A private cursor at the post-allocation position. */
+        std::unique_ptr<cpu::TraceSource>
+        newCursor() const
+        {
+            return copyCursor(*cursor);
+        }
+    };
+
+    /** Shared synonym segments, one per shared profile in the
+     *  mix, allocated before any core's address space. */
+    std::vector<std::unique_ptr<const os::SharedSegment>> segments;
+    /** One per core, in mix order. */
+    std::vector<Process> processes;
+};
+
+/**
+ * Process images the per-process memo keeps. One is enough for
+ * sweeps that submit each stream's runs together (a figure sweep,
+ * app by app): a 4-worker sweep of 26 apps x 8 policies builds each
+ * app's image exactly once per round at one entry as at two, and
+ * every image kept beyond the one in use pins allocator arena
+ * memory. Peak RSS of that sweep (the claim-sweep benchmark) on a
+ * 4-vCPU x86-64 host: 31-33 MiB at one entry, 37-46 MiB at two,
+ * 44 MiB at four.
+ */
+inline constexpr std::size_t processImageEntries = 1;
+
+/**
+ * The image runSingleCore(@p app, @p config) runs on. The process
+ * memoizes the processImageEntries most recently used images;
+ * callers racing on a new one wait for a single build. Fatal (or,
+ * on a sweep worker, throws FatalError to every waiter) when the
+ * image cannot be built; a failed build is not memoized.
+ */
+std::shared_ptr<const ProcessImage>
+singleCoreImage(const std::string &app, const SystemConfig &config);
+
+/** The image runMulticore(@p mix, @p config) runs on. */
+std::shared_ptr<const ProcessImage>
+multicoreImage(const std::vector<std::string> &mix,
+               const SystemConfig &config);
+
+/** Process images built so far in this process (memo misses,
+ *  failed builds included). */
+std::uint64_t processImageBuilds();
+
 /** Run one application on one system. */
 RunResult runSingleCore(const std::string &app,
                         const SystemConfig &config);
@@ -253,11 +342,11 @@ bool isTraceApp(const std::string &app);
 std::string traceAppPath(const std::string &app);
 
 /**
- * Record @p app's reference stream to a trace file at @p path:
- * condition memory and build the workload exactly as
- * runSingleCore() would (same seeds, same allocation phase), then
- * capture warmupRefs+measureRefs references plus the VA->PA
- * layout. Replaying the file under the same SystemConfig is
+ * Record @p app's reference stream to a trace file at @p path: the
+ * VA->PA layout of runSingleCore()'s image for (@p app, @p config)
+ * plus warmupRefs+measureRefs references of a cursor copied from
+ * that image, so the recording is the live run's stream by
+ * construction. Replaying the file under the same SystemConfig is
  * digest-identical to the live run. Fatal when @p app is itself a
  * trace app or the file cannot be written.
  */

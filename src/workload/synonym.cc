@@ -166,7 +166,7 @@ SynonymWorkload::SynonymWorkload(const SynonymSpec &spec,
                                  os::AddressSpace &address_space,
                                  std::uint64_t seed,
                                  const os::SharedSegment *shared)
-    : spec_(spec), as_(address_space), rng_(seed)
+    : spec_(spec), rng_(seed)
 {
     if (spec.mappings < minMappings || spec.mappings > maxMappings)
         fatal("SynonymWorkload: mappings out of range");
@@ -176,7 +176,7 @@ SynonymWorkload::SynonymWorkload(const SynonymSpec &spec,
     bytes_ = synonymMappingBytes(spec);
     totalLines_ = bytes_ / lineSize;
 
-    allocatePhase(shared);
+    allocatePhase(address_space, shared);
 
     // Hot reuse set: lines spread over the leading pages, so the
     // same physical lines keep coming back under competing names.
@@ -194,28 +194,29 @@ SynonymWorkload::SynonymWorkload(const SynonymSpec &spec,
 }
 
 void
-SynonymWorkload::allocatePhase(const os::SharedSegment *shared)
+SynonymWorkload::allocatePhase(os::AddressSpace &as,
+                               const os::SharedSegment *shared)
 {
     switch (spec_.mode) {
       case SynonymSpec::Mode::Alias: {
-        const Addr base = as_.mmap(bytes_, pageShift);
+        const Addr base = as.mmap(bytes_, pageShift);
         bases_.push_back(base);
         for (std::uint64_t off = 0; off < bytes_; off += pageSize)
-            as_.touch(base + off);
+            as.touch(base + off);
         for (std::uint32_t i = 1; i < spec_.mappings; ++i) {
-            bases_.push_back(as_.mmapAlias(
+            bases_.push_back(as.mmapAlias(
                 base, bytes_, pageShift,
                 static_cast<std::uint64_t>(spec_.skewPages) * i));
         }
         break;
       }
       case SynonymSpec::Mode::Cow: {
-        const Addr base = as_.mmap(bytes_, pageShift);
+        const Addr base = as.mmap(bytes_, pageShift);
         bases_.push_back(base);
         for (std::uint64_t off = 0; off < bytes_; off += pageSize)
-            as_.touch(base + off);
+            as.touch(base + off);
         for (std::uint32_t i = 1; i < spec_.mappings; ++i) {
-            bases_.push_back(as_.mmapCow(
+            bases_.push_back(as.mmapCow(
                 base, bytes_, pageShift,
                 static_cast<std::uint64_t>(spec_.skewPages) * i));
         }
@@ -226,15 +227,15 @@ SynonymWorkload::allocatePhase(const os::SharedSegment *shared)
         for (std::uint32_t i = 1; i < spec_.mappings; ++i) {
             for (std::uint64_t p = 0; p < bytes_ / pageSize;
                  p += 2) {
-                as_.storeTouch(bases_[i] + p * pageSize);
+                as.storeTouch(bases_[i] + p * pageSize);
             }
         }
         break;
       }
       case SynonymSpec::Mode::Shared: {
         if (shared == nullptr) {
-            ownSegment_ = std::make_unique<os::SharedSegment>(
-                as_.allocator(), bytes_, spec_.hugePages);
+            ownSegment_ = std::make_shared<os::SharedSegment>(
+                as.allocator(), bytes_, spec_.hugePages);
             shared = ownSegment_.get();
         }
         if (shared->length() < bytes_ ||
@@ -248,7 +249,7 @@ SynonymWorkload::allocatePhase(const os::SharedSegment *shared)
         const unsigned align =
             spec_.hugePages ? hugePageShift : pageShift;
         for (std::uint32_t i = 0; i < spec_.mappings; ++i) {
-            bases_.push_back(as_.mmapShared(
+            bases_.push_back(as.mmapShared(
                 *shared, align,
                 static_cast<std::uint64_t>(spec_.skewPages) *
                     skew_unit * i));

@@ -107,7 +107,9 @@ std::string synonymAppName(const SynonymSpec &spec);
 /**
  * The multi-mapping workload. Construction runs the allocation
  * phase (regions, aliases, COW resolution, segment attach) so the
- * page table is immutable from the first reference on.
+ * page table is immutable from the first reference on. A copy is
+ * an independent cursor that resumes the stream where the original
+ * stood; neither touches the address space again.
  */
 class SynonymWorkload : public cpu::TraceSource
 {
@@ -143,7 +145,8 @@ class SynonymWorkload : public cpu::TraceSource
     std::uint64_t mappingBytes() const { return bytes_; }
 
   private:
-    void allocatePhase(const os::SharedSegment *shared);
+    void allocatePhase(os::AddressSpace &as,
+                       const os::SharedSegment *shared);
 
     bool generate(MemRef &ref);
 
@@ -156,11 +159,10 @@ class SynonymWorkload : public cpu::TraceSource
     bool storeAllowed(std::uint32_t m, std::uint64_t line) const;
 
     SynonymSpec spec_;
-    os::AddressSpace &as_;
     Rng rng_;
     /** Segment the workload allocated itself (Shared mode without
-     *  an external segment). */
-    std::unique_ptr<os::SharedSegment> ownSegment_;
+     *  an external segment); copies share it. */
+    std::shared_ptr<os::SharedSegment> ownSegment_;
     std::vector<Addr> bases_;
     std::uint64_t bytes_ = 0;
     std::uint64_t totalLines_ = 0;

@@ -12,7 +12,7 @@ namespace sipt::workload
 SyntheticWorkload::SyntheticWorkload(
     const AppProfile &profile, os::AddressSpace &address_space,
     std::uint64_t seed)
-    : profile_(profile), as_(address_space), rng_(seed)
+    : profile_(profile), as_(&address_space), rng_(seed)
 {
     if (profile.footprintBytes < profile.hotBytes)
         fatal(profile.name, ": footprint smaller than hot set");
@@ -34,10 +34,9 @@ SyntheticWorkload::SyntheticWorkload(
         if (r == 0)
             bytes = std::max(bytes, alignUp(profile.hotBytes,
                                             pageSize));
-        const Addr base =
-            as_.mmap(bytes, profile.regionAlignLog2,
-                     static_cast<std::uint64_t>(profile.skewPages) *
-                         (r + 1));
+        const Addr base = address_space.mmap(
+            bytes, profile.regionAlignLog2,
+            static_cast<std::uint64_t>(profile.skewPages) * (r + 1));
         regions_.push_back({base, bytes});
     }
     std::uint64_t cum = 0;
@@ -77,11 +76,11 @@ SyntheticWorkload::SyntheticWorkload(
             streamPcs_[r % streamPcs_.size()]);
     logOneMinusP_ = std::log(1.0 - profile.memRatio);
 
-    allocatePhase();
+    allocatePhase(address_space);
 }
 
 void
-SyntheticWorkload::allocatePhase()
+SyntheticWorkload::allocatePhase(os::AddressSpace &as)
 {
     // Build the first-touch order for every region.
     std::vector<std::vector<std::uint32_t>> order(regions_.size());
@@ -121,7 +120,7 @@ SyntheticWorkload::allocatePhase()
                     regions_[r].base +
                     static_cast<Addr>(order[r][cursor[r]]) *
                         pageSize;
-                as_.touch(va);
+                as.touch(va);
                 ++cursor[r];
                 ++done;
             }
@@ -302,7 +301,7 @@ SyntheticWorkload::generate(MemRef &ref)
 double
 SyntheticWorkload::hugeCoverage() const
 {
-    return as_.hugeCoverage();
+    return as_->hugeCoverage();
 }
 
 } // namespace sipt::workload

@@ -12,6 +12,11 @@
  * next() then produces the steady-state access stream: a mix of
  * streaming, dependent pointer-chase, and hot-working-set
  * references with geometric non-memory gaps.
+ *
+ * A copy is an independent cursor over the same address space: it
+ * resumes the stream where the original stood and never touches
+ * the address space again, so copies of one post-allocation
+ * workload may run side by side over a shared, frozen image.
  */
 
 #ifndef SIPT_WORKLOAD_SYNTHETIC_HH
@@ -66,7 +71,7 @@ class SyntheticWorkload : public cpu::TraceSource
         std::uint64_t bytes;
     };
 
-    void allocatePhase();
+    void allocatePhase(os::AddressSpace &as);
 
     /** Produce one reference (next() wraps this and remembers
      *  the address for same-object bursts). */
@@ -79,7 +84,7 @@ class SyntheticWorkload : public cpu::TraceSource
     std::uint32_t sampleGap();
 
     AppProfile profile_;
-    os::AddressSpace &as_;
+    const os::AddressSpace *as_;
     Rng rng_;
     std::vector<Region> regions_;
     /** Cumulative byte sizes for weighted region picks. */

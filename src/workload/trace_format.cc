@@ -1,5 +1,6 @@
 #include "workload/trace_format.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bitops.hh"
@@ -258,9 +259,29 @@ TraceWriter::finish()
     out_.close();
 }
 
+TraceReader::TraceReader(const TraceReader &other)
+    : path_(other.path_), info_(other.info_),
+      regions_(other.regions_), mappings_(other.mappings_),
+      error_(other.error_), recordsOffset_(other.recordsOffset_),
+      decoded_(other.decoded_), digest_(other.digest_),
+      bytes_(other.bytes_), prevPc_(other.prevPc_),
+      prevVaddr_(other.prevVaddr_)
+{
+    if (path_.empty())
+        return;
+    in_.open(path_, std::ios::binary);
+    if (!in_) {
+        if (error_.empty())
+            error_ = "cannot reopen '" + path_ + "'";
+        return;
+    }
+    in_.seekg(static_cast<std::streamoff>(recordsOffset_ + bytes_));
+}
+
 std::string
 TraceReader::open(const std::string &path)
 {
+    path_ = path;
     in_.open(path, std::ios::binary);
     if (!in_)
         return "cannot open '" + path + "'";
@@ -341,6 +362,13 @@ TraceReader::rewind()
     prevPc_ = 0;
     prevVaddr_ = 0;
     error_.clear();
+}
+
+void
+TraceReader::releaseLayout()
+{
+    regions_ = {};
+    mappings_ = {};
 }
 
 int
@@ -463,16 +491,18 @@ verifyTrace(const std::string &path, std::string &error)
     return true;
 }
 
-std::uint64_t
-traceContentHash(const std::string &path)
+namespace
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return 0;
+
+/** fnv1a64 over the first @p limit bytes of @p in. */
+std::uint64_t
+hashPrefix(std::istream &in, std::uint64_t limit)
+{
     std::uint64_t h = fnv1a64Init;
     char buf[64 * 1024];
-    for (;;) {
-        in.read(buf, sizeof(buf));
+    while (limit > 0) {
+        in.read(buf, static_cast<std::streamsize>(
+                         std::min<std::uint64_t>(limit, sizeof(buf))));
         const std::streamsize got = in.gcount();
         if (got <= 0)
             break;
@@ -480,10 +510,38 @@ traceContentHash(const std::string &path)
             h = fnv1a64Step(
                 h, static_cast<std::uint8_t>(buf[i]));
         }
-        if (got < static_cast<std::streamsize>(sizeof(buf)))
-            break;
+        limit -= static_cast<std::uint64_t>(got);
     }
     return h;
+}
+
+} // namespace
+
+std::uint64_t
+traceContentHash(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return 0;
+    return hashPrefix(in, ~std::uint64_t{0});
+}
+
+std::uint64_t
+traceLayoutHash(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return 0;
+    // recordBytes follows refCount in the patched triple.
+    in.seekg(0, std::ios::end);
+    const auto size = static_cast<std::uint64_t>(in.tellg());
+    std::uint64_t record_bytes = 0;
+    in.seekg(static_cast<std::streamoff>(patchOffset + 8));
+    if (!readFixed64(in, record_bytes) || record_bytes > size)
+        record_bytes = 0;
+    in.clear();
+    in.seekg(0);
+    return hashPrefix(in, size - record_bytes);
 }
 
 } // namespace sipt::workload

@@ -144,6 +144,15 @@ class TraceReader
   public:
     TraceReader() = default;
 
+    /**
+     * An independent reader of the same file, positioned where
+     * @p other stands. The file is reopened, not re-parsed, so it
+     * must not have changed since @p other opened it; failing to
+     * reopen it sets error().
+     */
+    TraceReader(const TraceReader &other);
+    TraceReader &operator=(const TraceReader &) = delete;
+
     /** Parse @p path up to the record stream.
      *  @return empty string on success, else a description
      *          ("bad magic", "unsupported trace version", ...) */
@@ -169,6 +178,10 @@ class TraceReader
     /** Restart the record stream from the beginning. */
     void rewind();
 
+    /** Free the region and mapping tables once a replay has
+     *  installed them; regions() and mappings() are empty after. */
+    void releaseLayout();
+
     /** Sticky stream error; empty while the stream is healthy. */
     const std::string &error() const { return error_; }
 
@@ -187,6 +200,7 @@ class TraceReader
     bool readSigned(std::int64_t &v);
 
     std::ifstream in_;
+    std::string path_;
     TraceInfo info_;
     std::vector<TraceRegion> regions_;
     std::vector<TraceMapping> mappings_;
@@ -218,6 +232,17 @@ bool verifyTrace(const std::string &path, std::string &error);
  * results — content, not path or mtime, identifies the input.
  */
 std::uint64_t traceContentHash(const std::string &path);
+
+/**
+ * Stable fnv1a64 over everything in @p path before the record
+ * stream: the header (which carries the stream's byte count and
+ * digest) and the layout tables. This is all a replay installs
+ * before its first record, so it keys what a process image holds
+ * for a trace app at a fraction of traceContentHash()'s cost; the
+ * records themselves are streamed from the file by every run.
+ * 0 when the file cannot be read.
+ */
+std::uint64_t traceLayoutHash(const std::string &path);
 
 } // namespace sipt::workload
 

@@ -20,6 +20,9 @@ TraceReplaySource::TraceReplaySource(const std::string &path,
         as.adoptRegion(region.base, region.bytes);
     for (const auto &m : reader_.mappings())
         as.installMapping(m.vaddr, m.pfn, m.huge);
+    // The address space holds the layout now; copies of this
+    // source need only the stream position.
+    reader_.releaseLayout();
 }
 
 bool

@@ -12,6 +12,10 @@
  * and recycles from the start when exhausted (the multicore
  * driver's "loop traces until the last core completes" rule), so
  * a replay can feed any warmup+measure budget.
+ *
+ * A copy is an independent cursor: it reopens the file at the
+ * original's stream position and installs nothing, so copies of
+ * one post-allocation source can run over a shared, frozen image.
  */
 
 #ifndef SIPT_WORKLOAD_TRACE_REPLAY_HH

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/bitops.hh"
 #include "os/address_space.hh"
 #include "os/buddy_allocator.hh"
 #include "os/fragmenter.hh"
+#include "os/shared_segment.hh"
 
 namespace sipt::os
 {
@@ -183,6 +186,39 @@ TEST(AddressSpace, DestructorReturnsFrames)
         EXPECT_LT(buddy.freeFrames(), frames);
     }
     EXPECT_EQ(buddy.freeFrames(), frames);
+}
+
+TEST(AddressSpace, ForgetFramesKeepsMappingsAndFreesNothing)
+{
+    PagingPolicy pol;
+    pol.thpEnabled = false;
+    auto buddy = std::make_unique<BuddyAllocator>(frames);
+    auto as = std::make_unique<AddressSpace>(*buddy, pol);
+    const Addr base = as->mmap(16 * pageSize);
+    for (int i = 0; i < 16; ++i)
+        as->touch(base + i * pageSize);
+    const auto before = as->pageTable().translate(base + pageSize);
+    ASSERT_TRUE(before.has_value());
+    const std::uint64_t free_frames = buddy->freeFrames();
+
+    as->forgetFrames();
+    EXPECT_EQ(as->pageTable().translate(base + pageSize)->paddr,
+              before->paddr);
+    // Detached: the allocator may go first, and destroying the
+    // address space returns nothing.
+    SharedSegment segment(*buddy, 4 * pageSize, false);
+    segment.forgetFrames();
+    EXPECT_EQ(buddy->freeFrames(), free_frames - 4);
+    buddy.reset();
+    as.reset();
+}
+
+TEST(AddressSpace, DetachedAddressSpaceHasNoAllocator)
+{
+    BuddyAllocator buddy(frames);
+    AddressSpace as(buddy, PagingPolicy{});
+    as.forgetFrames();
+    EXPECT_DEATH(as.allocator(), "detached");
 }
 
 TEST(Fragmenter, ReachesTargetIndex)

@@ -11,7 +11,10 @@
  * (sim::conditionedMemory), so the ConditionedMemory tests check
  * that a memoized image is exactly what fresh conditioning gives:
  * keyed on every input that shapes it, private to each caller, and
- * unchanged by eviction.
+ * unchanged by eviction. Runs of one (app, seed, memory) stream
+ * also share a read-only process image (sim::singleCoreImage), so
+ * no run may leave a trace in it for the next: a policy run after
+ * others on one image must equal the same run on a fresh image.
  */
 
 #include <gtest/gtest.h>
@@ -163,6 +166,32 @@ TEST(Determinism, FirstRunOnNewMemoryKeyMatchesRepeat)
     const RunResult repeat = runSingleCore("gcc", cfg);
     EXPECT_EQ(runResultToJson(first).dump(),
               runResultToJson(repeat).dump());
+}
+
+TEST(Determinism, RunsSharingAnImageMatchARunOnAFreshOne)
+{
+    // Several policies advance cursors over one image first; the
+    // last run must not see any of it.
+    const std::uint64_t seed = 0x5eed8;
+    for (const IndexingPolicy policy :
+         {IndexingPolicy::Vipt, IndexingPolicy::SiptNaive,
+          IndexingPolicy::SiptRevelator})
+        (void)runSingleCore("lbm", quick(policy, seed));
+    const auto cfg = quick(IndexingPolicy::SiptCombined, seed);
+    const RunResult shared = runSingleCore("lbm", cfg);
+
+    // Evict the image (the evictors share its memory key), then
+    // run the same job first on a fresh build.
+    for (std::size_t k = 1; k <= processImageEntries; ++k) {
+        SystemConfig other = cfg;
+        other.footprintScale = 0.1 * static_cast<double>(k);
+        (void)singleCoreImage("lbm", other);
+    }
+    const std::uint64_t builds = processImageBuilds();
+    const RunResult fresh = runSingleCore("lbm", cfg);
+    EXPECT_EQ(processImageBuilds(), builds + 1);
+    EXPECT_EQ(runResultToJson(shared).dump(),
+              runResultToJson(fresh).dump());
 }
 
 /**

@@ -315,5 +315,34 @@ TEST(SweepRace, WorkersConditioningOneNewMemoryKeyAgree)
         EXPECT_EQ(r, memoized);
 }
 
+TEST(SweepRace, EightWorkersOnOneNewImageBuildItOnce)
+{
+    // Eight jobs of one (app, seed, memory) stream under eight
+    // policies start together on eight workers: all of them need
+    // one image nothing else in the process uses. Exactly one
+    // builds it; the others wait for that build or hit the memo.
+    const IndexingPolicy policies[] = {
+        IndexingPolicy::Vipt,          IndexingPolicy::Ideal,
+        IndexingPolicy::SiptNaive,     IndexingPolicy::SiptBypass,
+        IndexingPolicy::SiptCombined,  IndexingPolicy::SiptVespa,
+        IndexingPolicy::SiptRevelator, IndexingPolicy::SiptPcax,
+    };
+    std::vector<SweepJob> jobs;
+    for (const IndexingPolicy policy : policies)
+        jobs.push_back({"gcc", tiny(policy, 0x5eed7)});
+    const std::uint64_t builds = processImageBuilds();
+    SweepRunner runner(SweepOptions{8, "-"});
+    const auto results = runner.runBatch(jobs);
+    EXPECT_EQ(processImageBuilds(), builds + 1);
+    EXPECT_EQ(runner.stats().executed, jobs.size());
+    // Each equals a run of its own on the memoized image.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(runResultToJson(results[i]).dump(),
+                  runResultToJson(
+                      runSingleCore(jobs[i].app, jobs[i].config))
+                      .dump());
+    }
+}
+
 } // namespace
 } // namespace sipt::sim

@@ -285,6 +285,38 @@ TEST(TraceFormat, ContentHashIdentifiesDistinctTraces)
     }
     EXPECT_NE(traceContentHash(a), traceContentHash(b));
     EXPECT_EQ(traceContentHash(a), traceContentHash(a));
+    // The header carries the stream's length and digest, so the
+    // layout hash tells the two apart without reading the records.
+    EXPECT_NE(traceLayoutHash(a), traceLayoutHash(b));
+    EXPECT_EQ(traceLayoutHash(a), traceLayoutHash(a));
+}
+
+TEST(TraceFormat, LayoutHashCoversEverythingBeforeTheRecords)
+{
+    const auto path = writeSampleTrace("layout.sipttrace");
+    const auto before = traceLayoutHash(path);
+    ASSERT_NE(before, 0u);
+    EXPECT_EQ(traceLayoutHash(scratchFile("no-such.sipttrace")), 0u);
+
+    TraceReader reader;
+    ASSERT_EQ(reader.open(path), "");
+    const auto size = std::filesystem::file_size(path);
+    const auto records_at = size - reader.info().recordBytes;
+    auto flip = [&](std::uint64_t offset) {
+        std::fstream f(path, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        f.seekg(static_cast<std::streamoff>(offset));
+        const int byte = f.get();
+        f.seekp(static_cast<std::streamoff>(offset));
+        f.put(static_cast<char>(byte ^ 0x01));
+    };
+    // A record byte is not part of the layout...
+    flip(size - 1);
+    EXPECT_EQ(traceLayoutHash(path), before);
+    flip(size - 1);
+    // ...the last layout byte is.
+    flip(records_at - 1);
+    EXPECT_NE(traceLayoutHash(path), before);
 }
 
 TEST(TraceReplay, SourceLoopsAndResets)
