@@ -36,30 +36,40 @@ main()
     TextTable t({"core", "condition", "config", "IPC",
                  "energy", "pred.acc"});
 
-    // Submit the full (core, condition, config, app) sweep up
-    // front; each (core, condition) baseline set is simulated
-    // once and reused by all four SIPT configs.
-    std::vector<bench::RunFuture> base_f, cfg_f;
-    for (bool ooo : {true, false}) {
-        for (const auto cond : conds) {
-            for (const auto &app : app_list) {
+    // Submit the full sweep up front, app-major: for each condition
+    // and app, both cores' baseline and SIPT runs, which share one
+    // process image and its translated stream. Each (core,
+    // condition) baseline set is simulated once and reused by all
+    // four SIPT configs. Results are fetched below in print order.
+    const std::size_t n_apps = app_list.size();
+    const std::size_t n_conds = conds.size();
+    const std::size_t n_cfgs = cfgs.size();
+    std::vector<bench::RunFuture> base_f(2 * n_conds * n_apps);
+    std::vector<bench::RunFuture> cfg_f(2 * n_conds * n_cfgs * n_apps);
+    // Index of (core, condition, [config,] app) in print order.
+    auto base_at = [&](std::size_t core, std::size_t c,
+                       std::size_t a) {
+        return (core * n_conds + c) * n_apps + a;
+    };
+    auto cfg_at = [&](std::size_t core, std::size_t c, std::size_t k,
+                      std::size_t a) {
+        return ((core * n_conds + c) * n_cfgs + k) * n_apps + a;
+    };
+    for (std::size_t c = 0; c < n_conds; ++c) {
+        for (std::size_t a = 0; a < n_apps; ++a) {
+            for (std::size_t core = 0; core < 2; ++core) {
                 sim::SystemConfig base;
-                base.outOfOrder = ooo;
-                base.condition = cond;
+                base.outOfOrder = core == 0;
+                base.condition = conds[c];
                 base.measureRefs = bench::measureRefs() / 2;
-                base_f.push_back(
-                    bench::sweep().enqueue(app, base));
-            }
-            for (const auto cfg_id : cfgs) {
-                for (const auto &app : app_list) {
-                    sim::SystemConfig cfg;
-                    cfg.outOfOrder = ooo;
-                    cfg.condition = cond;
-                    cfg.l1Config = cfg_id;
+                base_f[base_at(core, c, a)] =
+                    bench::sweep().enqueue(app_list[a], base);
+                for (std::size_t k = 0; k < n_cfgs; ++k) {
+                    sim::SystemConfig cfg = base;
+                    cfg.l1Config = cfgs[k];
                     cfg.policy = IndexingPolicy::SiptCombined;
-                    cfg.measureRefs = bench::measureRefs() / 2;
-                    cfg_f.push_back(
-                        bench::sweep().enqueue(app, cfg));
+                    cfg_f[cfg_at(core, c, k, a)] =
+                        bench::sweep().enqueue(app_list[a], cfg);
                 }
             }
         }

@@ -14,11 +14,13 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <future>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -33,6 +35,34 @@
 
 namespace sipt::bench
 {
+
+/**
+ * Terminate handler of every bench: a fatal() inside a sweep job
+ * reaches main as a FatalError from the job's future, and a bench
+ * does not catch it. Report it as fatal() on the main thread would,
+ * "fatal: <message>" and status 1, instead of aborting. Exits
+ * without running static destructors, which would wait for the
+ * sweep's queued jobs. Anything else still aborts.
+ */
+[[noreturn]] inline void
+exitOnFatalError()
+{
+    if (const std::exception_ptr error = std::current_exception()) {
+        try {
+            std::rethrow_exception(error);
+        } catch (const FatalError &fatal_error) {
+            std::cout.flush();
+            std::cerr << "fatal: " << fatal_error.what() << std::endl;
+            std::_Exit(1);
+        } catch (...) {
+        }
+    }
+    std::abort();
+}
+
+/** Installs exitOnFatalError() before main() runs. */
+inline const std::terminate_handler installedTerminateHandler =
+    std::set_terminate(&exitOnFatalError);
 
 /** Apps on the x-axis of the per-application figures. */
 inline const std::vector<std::string> &

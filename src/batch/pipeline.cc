@@ -6,7 +6,6 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/prefetch.hh"
 
 namespace sipt::batch
 {
@@ -29,119 +28,53 @@ BatchOptions::fromEnv()
 namespace
 {
 
-/** Upper bound on flat-map array slots (8 B each): covers a 64 GiB
- *  contiguous VA span of 4 KiB pages before falling back to direct
- *  page-table lookups. */
-constexpr std::uint64_t maxFlatSlots = 1ull << 24;
-
 /**
- * Host-prefetch lookahead distances, in references. The batch
- * already holds the whole reference window, so each stage can ask
- * the host CPU to start loading the simulator structures (page-map
- * slots, tag sets) that references a few iterations ahead will
- * touch — latency the scalar engine, which learns each reference's
- * address only as it processes it, cannot hide.
+ * Host-prefetch lookahead of the account stage, in references. The
+ * batch already holds the whole reference window, so the stage can
+ * ask the host CPU to start loading the tag sets that references a
+ * few iterations ahead will touch — latency the scalar engine,
+ * which learns each reference's address only as it processes it,
+ * cannot hide.
  */
-constexpr std::size_t xlatPrefetchDist = 8;
 constexpr std::size_t accountPrefetchDist = 4;
 
 } // namespace
 
-FlatPageMap::FlatPageMap(const vm::PageTable &table)
-{
-    Vpn small_lo = ~Vpn{0};
-    Vpn small_hi = 0;
-    Vpn huge_lo = ~Vpn{0};
-    Vpn huge_hi = 0;
-    std::uint64_t smalls = 0;
-    std::uint64_t huges = 0;
-    table.forEachSmall([&](Vpn vpn, Pfn) {
-        small_lo = std::min(small_lo, vpn);
-        small_hi = std::max(small_hi, vpn);
-        ++smalls;
-    });
-    table.forEachHuge([&](Vpn chunk, Pfn) {
-        huge_lo = std::min(huge_lo, chunk);
-        huge_hi = std::max(huge_hi, chunk);
-        ++huges;
-    });
-
-    const std::uint64_t small_span =
-        smalls ? small_hi - small_lo + 1 : 0;
-    const std::uint64_t huge_span =
-        huges ? huge_hi - huge_lo + 1 : 0;
-    if (small_span + huge_span > maxFlatSlots)
-        return; // pathologically sparse VA layout: stay unflattened
-
-    smallBase_ = smalls ? small_lo : 0;
-    smallFrame_.assign(static_cast<std::size_t>(small_span),
-                       unmapped);
-    hugeBase_ = huges ? huge_lo : 0;
-    hugeFrame_.assign(static_cast<std::size_t>(huge_span),
-                      unmapped);
-    table.forEachSmall([&](Vpn vpn, Pfn pfn) {
-        smallFrame_[vpn - smallBase_] = pageBase(pfn);
-    });
-    table.forEachHuge([&](Vpn chunk, Pfn base_pfn) {
-        hugeFrame_[chunk - hugeBase_] = pageBase(base_pfn);
-    });
-    valid_ = true;
-}
-
-vm::Translation
-FlatPageMap::translate(Addr vaddr) const
-{
-    // Huge mappings first, mirroring PageTable::translate().
-    const Vpn chunk = hugePageNumber(vaddr);
-    if (chunk - hugeBase_ < hugeFrame_.size()) {
-        const Addr base = hugeFrame_[chunk - hugeBase_];
-        if (base != unmapped) {
-            return vm::Translation{
-                base | (vaddr & mask(hugePageShift)), true};
-        }
-    }
-    const Vpn vpn = pageNumber(vaddr);
-    if (vpn - smallBase_ < smallFrame_.size()) {
-        const Addr base = smallFrame_[vpn - smallBase_];
-        if (base != unmapped)
-            return vm::Translation{base | pageOffset(vaddr), false};
-    }
-    panic("MMU translate of unmapped va ", vaddr);
-}
-
-void
-FlatPageMap::prefetch(Addr vaddr) const
-{
-    const Vpn chunk = hugePageNumber(vaddr);
-    if (chunk - hugeBase_ < hugeFrame_.size())
-        prefetchRead(&hugeFrame_[chunk - hugeBase_]);
-    const Vpn vpn = pageNumber(vaddr);
-    if (vpn - smallBase_ < smallFrame_.size())
-        prefetchRead(&smallFrame_[vpn - smallBase_]);
-}
-
 BatchPipeline::BatchPipeline(cpu::TraceSource &source,
                              vm::Mmu &mmu,
                              const vm::PageTable &page_table,
                              SiptL1Cache &l1, cpu::TraceCore &core)
-    : BatchPipeline(source, mmu, page_table,
-                    std::make_shared<const FlatPageMap>(page_table),
+    : BatchPipeline(
+          std::make_unique<StreamProducer>(source, mmu, page_table),
+          l1, core)
+{
+}
+
+BatchPipeline::BatchPipeline(std::unique_ptr<StreamProducer> producer,
+                             SiptL1Cache &l1, cpu::TraceCore &core)
+    : BatchPipeline(std::move(producer), nullptr,
+                    producer->pageTable(), producer->mmuParams(), l1,
+                    core)
+{
+}
+
+BatchPipeline::BatchPipeline(StreamLog &log, SiptL1Cache &l1,
+                             cpu::TraceCore &core)
+    : BatchPipeline(nullptr, &log, log.pageTable(), log.mmuParams(),
                     l1, core)
 {
 }
 
-BatchPipeline::BatchPipeline(cpu::TraceSource &source,
-                             vm::Mmu &mmu,
+BatchPipeline::BatchPipeline(std::unique_ptr<StreamProducer> &&producer,
+                             StreamLog *log,
                              const vm::PageTable &page_table,
-                             std::shared_ptr<const FlatPageMap> flat,
+                             const vm::MmuParams &mmu,
                              SiptL1Cache &l1, cpu::TraceCore &core)
-    : source_(source), mmu_(mmu), pageTable_(page_table),
-      flat_(std::move(flat)), l1_(l1), core_(core),
-      check_(l1.params().check), options_(BatchOptions::fromEnv())
+    : producer_(std::move(producer)), log_(log),
+      pageTable_(page_table), l2TlbLatency_(mmu.l2Latency), l1_(l1),
+      core_(core), check_(l1.params().check),
+      options_(BatchOptions::fromEnv())
 {
-    SIPT_ASSERT(!mmu.hasWalker(),
-                "batched engine cannot time radix page walks");
-    SIPT_ASSERT(flat_ != nullptr, "batched engine needs a page map");
 }
 
 cpu::CoreResult
@@ -153,10 +86,9 @@ BatchPipeline::run(std::uint64_t max_refs)
         const auto want = static_cast<std::size_t>(
             std::min<std::uint64_t>(remaining,
                                     cpu::RefBatch::capacity));
-        const std::size_t got = source_.nextBatch(batch_, want);
+        const std::size_t got = fetchBatch(batch_, want);
         if (got == 0)
             break;
-        translateBatch(batch_);
         predictBatch(batch_);
         accountBatch(batch_);
         remaining -= got;
@@ -166,35 +98,35 @@ BatchPipeline::run(std::uint64_t max_refs)
     return core_.endRun(cursor);
 }
 
-void
-BatchPipeline::translateBatch(cpu::RefBatch &batch)
+std::size_t
+BatchPipeline::fetchBatch(cpu::RefBatch &batch, std::size_t want)
 {
-    // The flat snapshot supplies the pure VA->PA function without
-    // the page table's hash probes; the TLB hierarchy still sees
-    // every reference, in order, through translateEntry().
-    const bool check = check_.enabled;
-    const FlatPageMap &map = *flat_;
-    const bool flat = map.valid();
-    for (std::size_t i = 0; i < batch.size; ++i) {
-        if (flat && i + xlatPrefetchDist < batch.size)
-            map.prefetch(batch.vaddr[i + xlatPrefetchDist]);
-        const Addr va = batch.vaddr[i];
-        vm::Translation entry;
-        if (flat) {
-            entry = map.translate(va);
-        } else {
-            const auto xlat = pageTable_.translate(va);
-            if (!xlat)
-                panic("MMU translate of unmapped va ", va);
-            entry = *xlat;
-        }
-        const vm::MmuResult res = mmu_.translateEntry(va, entry);
-        if (check)
-            checkTranslation(va, res.paddr);
-        batch.paddr[i] = res.paddr;
-        batch.xlatLatency[i] = res.latency;
-        batch.l1TlbHit[i] = res.l1Hit ? 1 : 0;
-        batch.hugePage[i] = res.hugePage ? 1 : 0;
+    // Generate + translate: this run's next references, from the
+    // shared log or its own producer; identical either way.
+    std::size_t got = 0;
+    if (log_ != nullptr) {
+        got = log_->read(logPos_, batch, want);
+        logPos_ += got;
+    } else {
+        got = producer_->produce(batch, want);
+    }
+
+    // What the run's own MMU would have counted: one L1 TLB lookup
+    // per reference, and a walk wherever both levels missed.
+    std::uint64_t hits = 0;
+    std::uint64_t walks = 0;
+    for (std::size_t i = 0; i < got; ++i) {
+        hits += batch.l1TlbHit[i];
+        walks += batch.l1TlbHit[i] == 0 &&
+                 batch.xlatLatency[i] > l2TlbLatency_;
+    }
+    tlb_.lookups += got;
+    tlb_.l1Hits += hits;
+    tlb_.walks += walks;
+
+    if (check_.enabled) {
+        for (std::size_t i = 0; i < got; ++i)
+            checkTranslation(batch.vaddr[i], batch.paddr[i]);
     }
     if (options_.mutateProbe &&
         l1_.params().policy == IndexingPolicy::SiptNaive) {
@@ -202,9 +134,10 @@ BatchPipeline::translateBatch(cpu::RefBatch &batch)
         // the golden-TLB check, exactly what a broken probe stage
         // would feed the array. Restricted to one policy so the
         // cross-policy digest comparison must diverge.
-        for (std::size_t i = 0; i < batch.size; ++i)
+        for (std::size_t i = 0; i < got; ++i)
             batch.paddr[i] ^= pageBase(1);
     }
+    return got;
 }
 
 void
@@ -269,7 +202,7 @@ BatchPipeline::checkTranslation(Addr vaddr, Addr paddr)
 {
     // Golden-TLB check, identical to the scalar SystemPort's: the
     // timed translation must equal an untimed page-table walk
-    // (this also guards the VPN memo above).
+    // (this also guards the producer's flat page map).
     const auto golden = pageTable_.translate(vaddr);
     std::string error;
     if (!golden) {

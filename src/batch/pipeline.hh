@@ -17,6 +17,16 @@
  *  - account:  L1 array + hierarchy + core timing
  *              (dispatchRef / accessDecided / completeRef)
  *
+ * Generate and translate belong to a StreamProducer
+ * (batch/stream_log.hh). Their output depends only on the stream,
+ * never on the run, so a run either replays it from a StreamLog
+ * that every run of the same process image shares, or, when the
+ * log does not serve the run (StreamLog::serves), drives a private
+ * producer.
+ * Either way the run's fetch step then applies what is per run:
+ * the golden-TLB check, the TLB statistics and the probe
+ * self-test corruption.
+ *
  * The one observable coupling between stages is the per-access
  * invariant checker, which snapshots the L1 *counters* at every
  * access — so all counter mutation stays in the account stage
@@ -42,8 +52,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "batch/stream_log.hh"
 #include "check/options.hh"
 #include "common/types.hh"
 #include "cpu/core.hh"
@@ -72,46 +82,15 @@ struct BatchOptions
     static BatchOptions fromEnv();
 };
 
-/**
- * Flat, pointer-free snapshot of a page table: the VA->PA function
- * as arrays indexed by page number, saving the page table's
- * per-reference chunk probe (a hash lookup on the 2 MiB chunk
- * number). Valid only while the table is unchanged, which holds for
- * a whole run: the allocation phase touched every page before the
- * first reference. The golden-TLB check compares every translation
- * against the live page table whenever SIPT_CHECK is on, guarding
- * the snapshot. Huge mappings are consulted before small ones,
- * mirroring PageTable::translate().
- */
-class FlatPageMap
+/** TLB statistics of the references a pipeline ran. */
+struct TlbStats
 {
-  public:
-    /** Snapshot @p table (capped at a fixed number of slots). */
-    explicit FlatPageMap(const vm::PageTable &table);
-
-    /** False when the VA span was too sparse to flatten (the
-     *  translate stage then queries the page table directly). */
-    bool valid() const { return valid_; }
-
-    /** Resolve @p vaddr. @pre valid(); panics when unmapped. */
-    vm::Translation translate(Addr vaddr) const;
-
-    /** Start loading the slots translate(@p vaddr) will read. */
-    void prefetch(Addr vaddr) const;
-
-  private:
-    /** Sentinel frame value for unmapped slots. */
-    static constexpr Addr unmapped = ~Addr{0};
-
-    /** First 4 KiB VPN covered by smallFrame_. */
-    Vpn smallBase_ = 0;
-    /** Page-aligned physical base per 4 KiB VPN. */
-    std::vector<Addr> smallFrame_;
-    /** First 2 MiB chunk number covered by hugeFrame_. */
-    Vpn hugeBase_ = 0;
-    /** 2 MiB-aligned physical base per chunk number. */
-    std::vector<Addr> hugeFrame_;
-    bool valid_ = false;
+    /** L1 TLB lookups: one per reference. */
+    std::uint64_t lookups = 0;
+    /** Lookups that hit the L1 TLB. */
+    std::uint64_t l1Hits = 0;
+    /** Lookups that missed both TLB levels. */
+    std::uint64_t walks = 0;
 };
 
 /**
@@ -123,7 +102,8 @@ class BatchPipeline
 {
   public:
     /**
-     * Snapshot @p page_table into a private FlatPageMap.
+     * Generate from @p source and translate through @p mmu, over a
+     * private FlatPageMap snapshot of @p page_table.
      *
      * @pre @p mmu has no radix walker attached (walk latency
      *      depends on the issue cycle, which the translate stage
@@ -133,14 +113,14 @@ class BatchPipeline
                   const vm::PageTable &page_table, SiptL1Cache &l1,
                   cpu::TraceCore &core);
 
-    /**
-     * Translate through @p flat, a snapshot of @p page_table that
-     * other pipelines may share (one per process image).
-     */
-    BatchPipeline(cpu::TraceSource &source, vm::Mmu &mmu,
-                  const vm::PageTable &page_table,
-                  std::shared_ptr<const FlatPageMap> flat,
+    /** Generate and translate through this run's own
+     *  @p producer. */
+    BatchPipeline(std::unique_ptr<StreamProducer> producer,
                   SiptL1Cache &l1, cpu::TraceCore &core);
+
+    /** Replay @p log from its first reference. */
+    BatchPipeline(StreamLog &log, SiptL1Cache &l1,
+                  cpu::TraceCore &core);
 
     /**
      * Run up to @p max_refs references. Stream-equivalent to
@@ -153,20 +133,39 @@ class BatchPipeline
      *  SystemPort::checkFailure). */
     const std::string &checkFailure() const { return failure_; }
 
+    /** TLB statistics since construction or resetStats(); equal
+     *  to the producer MMU's counters over the same references. */
+    const TlbStats &tlbStats() const { return tlb_; }
+
+    /** Zero tlbStats() (warmup). */
+    void resetStats() { tlb_ = TlbStats{}; }
+
   private:
-    void translateBatch(cpu::RefBatch &batch);
+    BatchPipeline(std::unique_ptr<StreamProducer> &&producer,
+                  StreamLog *log, const vm::PageTable &page_table,
+                  const vm::MmuParams &mmu, SiptL1Cache &l1,
+                  cpu::TraceCore &core);
+
+    std::size_t fetchBatch(cpu::RefBatch &batch, std::size_t want);
     void predictBatch(cpu::RefBatch &batch);
     void accountBatch(cpu::RefBatch &batch);
     void checkTranslation(Addr vaddr, Addr paddr);
 
-    cpu::TraceSource &source_;
-    vm::Mmu &mmu_;
+    /** This run's producer, or null when replaying log_. */
+    std::unique_ptr<StreamProducer> producer_;
+    /** Shared log, or null when producer_ is set. */
+    StreamLog *log_;
+    /** Next log position to read. */
+    std::uint64_t logPos_ = 0;
     const vm::PageTable &pageTable_;
-    std::shared_ptr<const FlatPageMap> flat_;
+    /** Latency of a translation served by the L2 TLB: anything
+     *  slower that missed the L1 TLB walked. */
+    Cycles l2TlbLatency_;
     SiptL1Cache &l1_;
     cpu::TraceCore &core_;
     check::Options check_;
     BatchOptions options_;
+    TlbStats tlb_;
     cpu::RefBatch batch_;
     std::string failure_;
 };

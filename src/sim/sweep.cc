@@ -870,7 +870,8 @@ SweepRunner::printStats(std::ostream &os) const
         static_cast<unsigned long long>(s.genericTasks),
         100.0 * s.hitRate(), s.wallSeconds, s.simSeconds,
         s.jobsPerSec());
-    os << line << std::endl;
+    os << line << " images=" << processImageBuilds()
+       << " translated-refs=" << translatedRefs() << std::endl;
 }
 
 } // namespace sipt::sim

@@ -217,7 +217,8 @@ class SweepRunner
     /** Snapshot of the counters. */
     SweepStats stats() const;
 
-    /** One-line bench-footer summary (jobs/sec, hit rate). */
+    /** One-line bench-footer summary (jobs/sec, hit rate), with
+     *  the process's image builds and translated references. */
     void printStats(std::ostream &os) const;
 
   private:

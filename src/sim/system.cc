@@ -1,12 +1,14 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <string_view>
 
+#include "batch/pipeline.hh"
 #include "common/env.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -79,12 +81,15 @@ struct ImageKey
 };
 
 /** The process-wide memos: pure functions of their keys, holding
- *  only immutable values. */
+ *  only immutable values (an image's stream logs only ever append
+ *  what their key fixes). */
 struct Memos
 {
     LruMemo<MemoryKey, os::BuddyAllocator> memory{
         conditionedMemoryEntries};
     LruMemo<ImageKey, ProcessImage> images{processImageEntries};
+    /** References every stream producer has made (translatedRefs). */
+    std::atomic<std::uint64_t> translatedRefs{0};
 };
 
 Memos &
@@ -191,17 +196,19 @@ class WalkThroughCaches : public vm::WalkPort
 struct CoreInstance
 {
     const ProcessImage::Process *process = nullptr;
-    /** Private copy of the image's post-allocation cursor. */
-    std::unique_ptr<cpu::TraceSource> workload;
-    std::unique_ptr<vm::Mmu> mmu;
     std::unique_ptr<cache::BelowL1> below;
     std::unique_ptr<SiptL1Cache> l1;
     std::unique_ptr<cpu::TraceCore> core;
+    /** Batched engine when selected; it owns or shares the stream
+     *  and its translations. */
+    std::unique_ptr<batch::BatchPipeline> pipeline;
+    /** Scalar engine otherwise: a private copy of the image's
+     *  post-allocation cursor, the MMU and the port joining them. */
+    std::unique_ptr<cpu::TraceSource> workload;
+    std::unique_ptr<vm::Mmu> mmu;
     std::unique_ptr<SystemPort> port;
     std::unique_ptr<WalkThroughCaches> walkPort;
     std::unique_ptr<vm::PageWalker> walker;
-    /** Batched engine when selected; scalar run() otherwise. */
-    std::unique_ptr<batch::BatchPipeline> pipeline;
     cpu::CoreResult measured;
 
     /** Run refs through whichever engine this core uses. */
@@ -309,6 +316,12 @@ buildProcess(const ImageKey &key, const ImageKey::Core &core,
     as->forgetFrames();
     proc.flat =
         std::make_shared<const batch::FlatPageMap>(as->pageTable());
+    proc.log = std::make_unique<batch::StreamLog>(
+        [cursor = proc.cursor.get(), copy = proc.copyCursor] {
+            return copy(*cursor);
+        },
+        mmuPreset(), as->pageTable(), proc.flat,
+        &memos().translatedRefs);
     proc.as = std::move(as);
     return proc;
 }
@@ -383,16 +396,19 @@ imageFor(const std::vector<std::string> &mix,
     return memos().images.get(key, [&] { return buildImage(key); });
 }
 
-/** Run state for @p proc: a fresh cursor and fresh components. */
+/**
+ * Run state for @p proc, one of @p cores in its image: fresh
+ * components, and the stream either from the image's log or, when
+ * the log does not serve the run's length or the run takes the
+ * scalar engine, from a fresh cursor.
+ */
 CoreInstance
 buildCore(const SystemConfig &config,
-          const ProcessImage::Process &proc, cache::TimingCache &llc,
-          dram::Dram &dram)
+          const ProcessImage::Process &proc, std::size_t cores,
+          cache::TimingCache &llc, dram::Dram &dram)
 {
     CoreInstance inst;
     inst.process = &proc;
-    inst.workload = proc.newCursor();
-    inst.mmu = std::make_unique<vm::Mmu>(mmuPreset());
 
     const cache::TimingCacheParams l2 = l2Preset();
     inst.below = std::make_unique<cache::BelowL1>(
@@ -422,6 +438,22 @@ buildCore(const SystemConfig &config,
         return p;
     }());
     const vm::PageTable &page_table = proc.as->pageTable();
+    if (useBatchEngine(config)) {
+        if (batch::StreamLog::serves(
+                config.warmupRefs + config.measureRefs, cores)) {
+            inst.pipeline = std::make_unique<batch::BatchPipeline>(
+                *proc.log, *inst.l1, *inst.core);
+        } else {
+            inst.pipeline = std::make_unique<batch::BatchPipeline>(
+                std::make_unique<batch::StreamProducer>(
+                    proc.newCursor(), mmuPreset(), page_table,
+                    proc.flat, &memos().translatedRefs),
+                *inst.l1, *inst.core);
+        }
+        return inst;
+    }
+    inst.workload = proc.newCursor();
+    inst.mmu = std::make_unique<vm::Mmu>(mmuPreset());
     inst.port = std::make_unique<SystemPort>(*inst.mmu, page_table,
                                              *inst.l1);
     if (config.radixWalker) {
@@ -431,11 +463,6 @@ buildCore(const SystemConfig &config,
             vm::WalkerParams{}, *inst.walkPort);
         inst.mmu->setWalker(inst.walker.get());
     }
-    if (useBatchEngine(config)) {
-        inst.pipeline = std::make_unique<batch::BatchPipeline>(
-            *inst.workload, *inst.mmu, page_table, proc.flat,
-            *inst.l1, *inst.core);
-    }
     return inst;
 }
 
@@ -444,7 +471,25 @@ resetCoreStats(CoreInstance &inst)
 {
     inst.l1->resetStats();
     inst.below->resetStats();
-    inst.mmu->resetStats();
+    if (inst.pipeline)
+        inst.pipeline->resetStats();
+    else
+        inst.mmu->resetStats();
+}
+
+/** The measured phase's TLB statistics, from whichever engine. */
+batch::TlbStats
+tlbStats(const CoreInstance &inst)
+{
+    if (inst.pipeline)
+        return inst.pipeline->tlbStats();
+    const auto &small = inst.mmu->l1Small();
+    const auto &huge = inst.mmu->l1Huge();
+    batch::TlbStats tlb;
+    tlb.l1Hits = small.hits() + huge.hits();
+    tlb.lookups = tlb.l1Hits + small.misses() + huge.misses();
+    tlb.walks = inst.mmu->walks();
+    return tlb;
 }
 
 RunResult
@@ -466,17 +511,12 @@ collect(const std::string &app, const SystemConfig &config,
         llc_static_share_mw, seconds);
     if (const auto *wp = inst.l1->wayPredictor())
         r.wayPredAccuracy = wp->accuracy();
-    const auto &small = inst.mmu->l1Small();
-    const auto &huge = inst.mmu->l1Huge();
-    const std::uint64_t tlb_lookups = small.hits() +
-                                      small.misses() +
-                                      huge.hits() + huge.misses();
-    r.dtlbHitRate =
-        tlb_lookups ? static_cast<double>(small.hits() +
-                                          huge.hits()) /
-                          static_cast<double>(tlb_lookups)
-                    : 0.0;
-    r.pageWalks = inst.mmu->walks();
+    const batch::TlbStats tlb = tlbStats(inst);
+    r.dtlbHitRate = tlb.lookups
+                        ? static_cast<double>(tlb.l1Hits) /
+                              static_cast<double>(tlb.lookups)
+                        : 0.0;
+    r.pageWalks = tlb.walks;
     r.l1Mpki = r.instructions
                    ? 1000.0 *
                          static_cast<double>(r.l1.misses) /
@@ -648,6 +688,12 @@ processImageBuilds()
     return memos().images.builds();
 }
 
+std::uint64_t
+translatedRefs()
+{
+    return memos().translatedRefs.load(std::memory_order_relaxed);
+}
+
 RunResult
 runSingleCore(const std::string &app, const SystemConfig &config)
 {
@@ -657,7 +703,7 @@ runSingleCore(const std::string &app, const SystemConfig &config)
     cache::TimingCache llc(llcPreset(config.outOfOrder, 1));
 
     CoreInstance inst =
-        buildCore(config, image->processes.front(), llc, dram);
+        buildCore(config, image->processes.front(), 1, llc, dram);
 
     inst.run(config.warmupRefs);
     resetCoreStats(inst);
@@ -687,7 +733,7 @@ runMulticore(const std::vector<std::string> &mix,
     std::vector<CoreInstance> insts;
     insts.reserve(cores);
     for (const ProcessImage::Process &proc : image->processes)
-        insts.push_back(buildCore(config, proc, llc, dram));
+        insts.push_back(buildCore(config, proc, cores, llc, dram));
 
     // Interleave cores in slices so LLC/DRAM contention mixes.
     constexpr std::uint64_t slice = 5'000;

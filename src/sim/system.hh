@@ -13,10 +13,16 @@
  *    condition, the footprint scale and each core's (app, seed,
  *    trace header and layout); it is built once per process for
  *    every run that shares those inputs and never changes
- *    afterwards;
- *  - its run state, built fresh per run: a copy of each workload
- *    cursor, the TLBs, the L1 under a chosen indexing policy with
- *    its predictors, the lower hierarchy, DRAM, and a core model.
+ *    afterwards. Each core's translated stream (the references the
+ *    cursor generates, with the translations of a fresh TLB
+ *    hierarchy) is a function of the image alone, so batch-engine
+ *    runs replay it from a log the image keeps, filled by the first
+ *    run to read each chunk;
+ *  - its run state, built fresh per run: the L1 under a chosen
+ *    indexing policy with its predictors, the lower hierarchy,
+ *    DRAM, and a core model, plus, where no log is read (the scalar
+ *    engine, or a run the log does not serve), a copy of each
+ *    workload cursor and its own TLBs.
  *
  * runSingleCore() runs one named application on such a machine and
  * returns the metrics every figure of the paper is built from.
@@ -34,7 +40,7 @@
 #include <string_view>
 #include <vector>
 
-#include "batch/pipeline.hh"
+#include "batch/stream_log.hh"
 #include "cpu/core.hh"
 #include "cpu/trace_source.hh"
 #include "energy/accounting.hh"
@@ -278,6 +284,16 @@ struct ProcessImage
         /** Copies @c cursor as its concrete workload type. */
         std::unique_ptr<cpu::TraceSource> (*copyCursor)(
             const cpu::TraceSource &) = nullptr;
+        /**
+         * The translated stream from @c cursor under a fresh
+         * vm::Mmu(mmuPreset()), shared by every batch-engine run
+         * whose length batch::StreamLog::serves() (its cores fit
+         * the log budget, and it reads at least one chunk).
+         * Appended to lazily and thread-safely; what it holds is
+         * fixed by the image, so sharing it is as safe as sharing
+         * the image. Empty until a run reads it.
+         */
+        std::unique_ptr<batch::StreamLog> log;
 
         /** A private cursor at the post-allocation position. */
         std::unique_ptr<cpu::TraceSource>
@@ -324,6 +340,13 @@ multicoreImage(const std::vector<std::string> &mix,
 /** Process images built so far in this process (memo misses,
  *  failed builds included). */
 std::uint64_t processImageBuilds();
+
+/**
+ * References generated and translated so far in this process by
+ * the batch engine's stream producers, whether filling an image's
+ * stream log or feeding one run. Runs replaying a log add nothing.
+ */
+std::uint64_t translatedRefs();
 
 /** Run one application on one system. */
 RunResult runSingleCore(const std::string &app,

@@ -8,17 +8,32 @@
  * policies, speculative-bit counts, trace replay, partial final
  * batches, and multicore mixes. The engine selector must also be
  * invisible to the run-cache key.
+ *
+ * A batch run either replays its image's shared stream log or, when
+ * longer than the log budget, drives a private producer; both must
+ * match the scalar engine, for every claim-sweep policy, warm-up
+ * splits that end inside a log chunk, a 4-core mix, and a golden-TLB
+ * divergence, which every reader of a log must report as a private
+ * run would.
  */
 
 #include <cstdint>
 #include <filesystem>
+#include <sstream>
+#include <utility>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "batch/pipeline.hh"
+#include "cache/hierarchy.hh"
+#include "cache/timing_cache.hh"
 #include "common/metrics.hh"
+#include "dram/dram.hh"
+#include "sim/presets.hh"
 #include "sim/report.hh"
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 
 namespace sipt::sim
@@ -313,6 +328,276 @@ TEST(BatchEngine, EngineExcludedFromRunCacheKey)
     // A result-influencing field must still break equality.
     b.measureRefs += 1;
     EXPECT_FALSE(a == b);
+}
+
+
+/** The 8 (L1, policy) pairs of the claim-sweep benchmark. */
+const std::vector<std::pair<L1Config, IndexingPolicy>> &
+claimSweepPolicies()
+{
+    static const std::vector<std::pair<L1Config, IndexingPolicy>>
+        policies = {
+            {L1Config::Baseline32K8, IndexingPolicy::Vipt},
+            {L1Config::Sipt32K2, IndexingPolicy::Ideal},
+            {L1Config::Sipt32K2, IndexingPolicy::SiptNaive},
+            {L1Config::Sipt32K2, IndexingPolicy::SiptBypass},
+            {L1Config::Sipt32K2, IndexingPolicy::SiptCombined},
+            {L1Config::Sipt32K2, IndexingPolicy::SiptVespa},
+            {L1Config::Sipt32K2, IndexingPolicy::SiptRevelator},
+            {L1Config::Sipt32K2, IndexingPolicy::SiptPcax},
+        };
+    return policies;
+}
+
+/** runResultToJson() of @p r plus its SIPT_CHECK digest. */
+std::string
+resultDigest(const RunResult &r)
+{
+    EXPECT_NE(r.checkDigest, 0u) << r.app;
+    return runResultToJson(r).dump() +
+           " digest=" + std::to_string(r.checkDigest);
+}
+
+/** References a log holds after runs of up to @p refs each. */
+std::uint64_t
+loggedRefs(std::uint64_t refs)
+{
+    const std::uint64_t chunk = batch::StreamLog::chunkRefs;
+    return (refs + chunk - 1) / chunk * chunk;
+}
+
+TEST(StreamLog, EveryClaimSweepPolicyMatchesScalarOnASharedLog)
+{
+    SystemConfig config = smallConfig();
+    config.seed = 0x5e1001;
+    ASSERT_TRUE(batch::StreamLog::serves(
+        config.warmupRefs + config.measureRefs, 1));
+    const std::uint64_t made = translatedRefs();
+    for (const auto &[l1, policy] : claimSweepPolicies()) {
+        config.l1Config = l1;
+        config.policy = policy;
+        const std::string label =
+            "policy=" + std::to_string(static_cast<int>(policy));
+        config.engine = EngineSelect::Scalar;
+        const RunResult scalar = runSingleCore("mcf", config);
+        config.engine = EngineSelect::Batch;
+        const RunResult batch = runSingleCore("mcf", config);
+        expectIdentical(scalar, batch, label);
+        EXPECT_EQ(resultDigest(scalar), resultDigest(batch)) << label;
+    }
+    // All eight replayed one log, produced once.
+    EXPECT_EQ(translatedRefs() - made,
+              loggedRefs(config.warmupRefs + config.measureRefs));
+}
+
+TEST(StreamLog, RunsLongerThanTheBudgetMatchScalar)
+{
+    // One core over the budget, and a quad mix over a quarter of
+    // it: each run drives its own producer and keeps no log.
+    SystemConfig config = smallConfig();
+    config.seed = 0x5e1002;
+    config.physMemBytes = 256ull << 20;
+    config.footprintScale = 0.05;
+    config.warmupRefs = batch::StreamLog::maxRefs;
+    config.measureRefs = 2'000;
+    ASSERT_FALSE(batch::StreamLog::serves(
+        config.warmupRefs + config.measureRefs, 1));
+    for (const IndexingPolicy policy :
+         {IndexingPolicy::SiptNaive, IndexingPolicy::SiptCombined}) {
+        config.l1Config = L1Config::Sipt32K2;
+        config.policy = policy;
+        const std::string label =
+            "policy=" + std::to_string(static_cast<int>(policy));
+        config.engine = EngineSelect::Scalar;
+        const RunResult scalar = runSingleCore("mcf", config);
+        config.engine = EngineSelect::Batch;
+        const std::uint64_t made = translatedRefs();
+        const RunResult batch = runSingleCore("mcf", config);
+        EXPECT_EQ(translatedRefs() - made,
+                  config.warmupRefs + config.measureRefs);
+        expectIdentical(scalar, batch, label);
+        EXPECT_EQ(resultDigest(scalar), resultDigest(batch)) << label;
+    }
+}
+
+TEST(StreamLog, WarmupEndingMidChunkSharesTheLog)
+{
+    // Different warm-up splits of one image's stream, none on a
+    // chunk boundary, all replaying the log the first one filled.
+    SystemConfig config = smallConfig();
+    config.seed = 0x5e1003;
+    config.l1Config = L1Config::Sipt32K2;
+    config.policy = IndexingPolicy::SiptCombined;
+    const std::uint64_t chunk = batch::StreamLog::chunkRefs;
+    const std::uint64_t total = 8 * chunk - 100;
+    const std::uint64_t made = translatedRefs();
+    for (const std::uint64_t warmup :
+         {3 * chunk - 72, chunk / 2 + 1, 5 * chunk + 3}) {
+        ASSERT_NE(warmup % chunk, 0u);
+        config.warmupRefs = warmup;
+        config.measureRefs = total - warmup;
+        compareEngines("gcc", config,
+                       "warmup=" + std::to_string(warmup));
+    }
+    // A shorter run of the same stream reads a prefix of the log.
+    config.warmupRefs = chunk + 5;
+    config.measureRefs = 700;
+    compareEngines("gcc", config, "shorter run");
+    EXPECT_EQ(translatedRefs() - made, loggedRefs(total));
+}
+
+TEST(StreamLog, RunsShorterThanAChunkKeepNoLog)
+{
+    // A set-up probe of a few references drives its own producer:
+    // it neither fills a chunk of the image's log nor reads one.
+    SystemConfig config = smallConfig();
+    config.seed = 0x5e1007;
+    config.l1Config = L1Config::Sipt32K2;
+    config.policy = IndexingPolicy::SiptCombined;
+    for (const std::uint64_t refs :
+         {std::uint64_t{1}, batch::StreamLog::chunkRefs - 1}) {
+        config.warmupRefs = 0;
+        config.measureRefs = refs;
+        ASSERT_FALSE(batch::StreamLog::serves(refs, 1));
+        const std::uint64_t made = translatedRefs();
+        compareEngines("gcc", config, "refs=" + std::to_string(refs));
+        EXPECT_EQ(translatedRefs() - made, refs);
+    }
+    // The first run of a chunk or more fills the log from its start.
+    config.measureRefs = batch::StreamLog::chunkRefs;
+    ASSERT_TRUE(batch::StreamLog::serves(config.measureRefs, 1));
+    const std::uint64_t made = translatedRefs();
+    compareEngines("gcc", config, "one chunk");
+    EXPECT_EQ(translatedRefs() - made, batch::StreamLog::chunkRefs);
+}
+
+TEST(StreamLog, QuadMixWithTraceCoreAndSharedSegmentMatchesScalar)
+{
+    SystemConfig config = smallConfig();
+    config.seed = 0x5e1004;
+    config.l1Config = L1Config::Sipt32K2;
+    config.policy = IndexingPolicy::SiptCombined;
+    config.physMemBytes = 512ull << 20;
+    config.footprintScale = 0.1;
+    const std::string path = scratchFile("quad-log.sipttrace");
+    recordTrace("gcc", config, path);
+    const std::vector<std::string> mix = {
+        "mcf", "synonym:shared-a4-k1", "trace:" + path,
+        "synonym:shared-a4-k1"};
+
+    auto compare = [&](const SystemConfig &cfg,
+                       const std::string &label) {
+        SystemConfig scalar_cfg = cfg;
+        scalar_cfg.engine = EngineSelect::Scalar;
+        SystemConfig batch_cfg = cfg;
+        batch_cfg.engine = EngineSelect::Batch;
+        const MulticoreResult scalar = runMulticore(mix, scalar_cfg);
+        const MulticoreResult batch = runMulticore(mix, batch_cfg);
+        ASSERT_EQ(scalar.perCore.size(), 4u);
+        ASSERT_EQ(batch.perCore.size(), 4u);
+        for (std::size_t c = 0; c < 4; ++c) {
+            const std::string core =
+                label + " core " + std::to_string(c);
+            expectIdentical(scalar.perCore[c], batch.perCore[c], core);
+            EXPECT_EQ(resultDigest(scalar.perCore[c]),
+                      resultDigest(batch.perCore[c]))
+                << core;
+        }
+        EXPECT_EQ(scalar.sumIpc, batch.sumIpc) << label;
+    };
+
+    // Within the budget: every core replays its process's log.
+    const std::uint64_t made = translatedRefs();
+    compare(config, "shared logs");
+    EXPECT_EQ(translatedRefs() - made,
+              4 * loggedRefs(config.warmupRefs + config.measureRefs));
+
+    // Over a quarter of the budget per core: private producers.
+    config.warmupRefs = batch::StreamLog::maxRefs / 4;
+    config.measureRefs = 1'000;
+    ASSERT_FALSE(batch::StreamLog::serves(
+        config.warmupRefs + config.measureRefs, 4));
+    compare(config, "private producers");
+    std::filesystem::remove(path);
+}
+
+/** One core's caches and timing model, checker on, recording
+ *  divergences instead of aborting. */
+struct CheckedCore
+{
+    dram::Dram dram;
+    cache::TimingCache llc{llcPreset(true, 1)};
+    cache::TimingCacheParams l2 = l2Preset();
+    cache::BelowL1 below{&l2, llc, dram};
+    SiptL1Cache l1{[] {
+                       L1Params params = l1Preset(
+                           L1Config::Sipt32K2,
+                           IndexingPolicy::SiptCombined, false);
+                       params.check.enabled = true;
+                       params.check.abortOnDivergence = false;
+                       return params;
+                   }(),
+                   below};
+    cpu::TraceCore core{cpu::outOfOrderCoreParams()};
+};
+
+/** What @p pipeline reports after a warm-up and a measured run. */
+std::string
+runChecked(batch::BatchPipeline &pipeline, CheckedCore &machine)
+{
+    pipeline.run(1'500);
+    const cpu::CoreResult measured = pipeline.run(2'500);
+    return pipeline.checkFailure() + " digest=" +
+           std::to_string(machine.l1.checkDigest()) +
+           " cycles=" + std::to_string(measured.cycles);
+}
+
+TEST(StreamLog, CheckRunsReportTheFirstTlbDivergenceAsAPrivateRunWould)
+{
+    // A translated stream whose flat page map disagrees with the
+    // page table on the first reference's page: the golden-TLB
+    // check of every run must report that reference, whether the
+    // run drives its own producer, fills the log, or replays it.
+    SystemConfig config = smallConfig();
+    config.seed = 0x5e1005;
+    config.condition = MemCondition::ThpOff; // 4 KiB pages only
+    config.physMemBytes = 256ull << 20;
+    config.footprintScale = 0.05;
+    const auto image = singleCoreImage("mcf", config);
+    const ProcessImage::Process &proc = image->processes.front();
+    const vm::PageTable &table = proc.as->pageTable();
+
+    MemRef first;
+    ASSERT_TRUE(proc.newCursor()->next(first));
+    const auto golden = table.translate(first.vaddr);
+    ASSERT_TRUE(golden.has_value());
+    ASSERT_FALSE(golden->hugePage);
+    vm::PageTable remapped = table;
+    remapped.unmapPage(first.vaddr);
+    remapped.mapPage(first.vaddr, pageNumber(golden->paddr) + 1);
+    const auto wrong =
+        std::make_shared<const batch::FlatPageMap>(remapped);
+
+    std::ostringstream expected;
+    expected << "TLB divergence at va 0x" << std::hex << first.vaddr
+             << ": MMU pa 0x" << (golden->paddr + pageSize)
+             << ", page table pa 0x" << golden->paddr;
+
+    CheckedCore own;
+    batch::BatchPipeline private_run(
+        std::make_unique<batch::StreamProducer>(
+            proc.newCursor(), mmuPreset(), table, wrong),
+        own.l1, own.core);
+    const std::string reference = runChecked(private_run, own);
+    EXPECT_EQ(private_run.checkFailure(), expected.str());
+
+    batch::StreamLog log([&] { return proc.newCursor(); }, mmuPreset(),
+                         table, wrong);
+    for (const char *reader : {"filling", "replaying"}) {
+        CheckedCore shared;
+        batch::BatchPipeline run(log, shared.l1, shared.core);
+        EXPECT_EQ(runChecked(run, shared), reference) << reader;
+    }
 }
 
 } // namespace

@@ -11,7 +11,10 @@
  * every input the build reads: each key field changes the image,
  * and no other SystemConfig field can. The memo itself must build a
  * missing key once however many callers race on it, and a failed
- * build must reach every waiter and stay unmemoized.
+ * build must reach every waiter and stay unmemoized. Batch runs on
+ * one image share its stream log: a policy sweep produces the
+ * stream once however many workers read it, and each run still
+ * equals a scalar run.
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +25,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "batch/stream_log.hh"
 #include "common/logging.hh"
 #include "sim/lru_memo.hh"
 #include "sim/sweep.hh"
@@ -453,6 +458,77 @@ TEST(ProcessImage, FailedBuildOnWorkerRethrowsFromGet)
     // Each failed job built (and did not memoize) the image.
     EXPECT_GE(processImageBuilds(), builds + 1);
     EXPECT_LE(processImageBuilds(), builds + 2);
+}
+
+
+/** The claim-sweep benchmark's 8 (L1, policy) pairs on @p app, batch
+ *  engine forced. */
+std::vector<SweepJob>
+policySweep(const std::string &app, SystemConfig cfg)
+{
+    const std::pair<L1Config, IndexingPolicy> policies[] = {
+        {L1Config::Baseline32K8, IndexingPolicy::Vipt},
+        {L1Config::Sipt32K2, IndexingPolicy::Ideal},
+        {L1Config::Sipt32K2, IndexingPolicy::SiptNaive},
+        {L1Config::Sipt32K2, IndexingPolicy::SiptBypass},
+        {L1Config::Sipt32K2, IndexingPolicy::SiptCombined},
+        {L1Config::Sipt32K2, IndexingPolicy::SiptVespa},
+        {L1Config::Sipt32K2, IndexingPolicy::SiptRevelator},
+        {L1Config::Sipt32K2, IndexingPolicy::SiptPcax},
+    };
+    cfg.engine = EngineSelect::Batch;
+    std::vector<SweepJob> jobs;
+    for (const auto &[l1, policy] : policies) {
+        cfg.l1Config = l1;
+        cfg.policy = policy;
+        jobs.push_back({app, cfg});
+    }
+    return jobs;
+}
+
+/** What a log holds once runs of @p cfg's length have read it. */
+std::uint64_t
+loggedRefs(const SystemConfig &cfg)
+{
+    const std::uint64_t chunk = batch::StreamLog::chunkRefs;
+    return (cfg.warmupRefs + cfg.measureRefs + chunk - 1) / chunk *
+           chunk;
+}
+
+TEST(StreamLog, FourWorkerPolicySweepProducesTheStreamOnce)
+{
+    const std::vector<SweepJob> jobs =
+        policySweep("mcf", small(0x1a6e0c));
+    const std::uint64_t builds = processImageBuilds();
+    const std::uint64_t made = translatedRefs();
+    SweepRunner runner(SweepOptions{4, "-"});
+    (void)runner.runBatch(jobs);
+    EXPECT_EQ(runner.stats().executed, jobs.size());
+    EXPECT_EQ(processImageBuilds(), builds + 1);
+    EXPECT_EQ(translatedRefs() - made, loggedRefs(jobs[0].config));
+}
+
+TEST(StreamLog, EightWorkersShareOneNewLog)
+{
+    // Eight runs start together on one image nothing else uses:
+    // they race to fill its log chunk by chunk and read what the
+    // others published. Each must equal a scalar run.
+    const std::vector<SweepJob> jobs =
+        policySweep("gcc", small(0x1a6e0d));
+    const std::uint64_t made = translatedRefs();
+    std::vector<RunResult> results;
+    {
+        SweepRunner runner(SweepOptions{8, "-"});
+        results = runner.runBatch(jobs);
+    }
+    EXPECT_EQ(translatedRefs() - made, loggedRefs(jobs[0].config));
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SystemConfig scalar = jobs[i].config;
+        scalar.engine = EngineSelect::Scalar;
+        EXPECT_EQ(resultJson(results[i]),
+                  resultJson(runSingleCore(jobs[i].app, scalar)))
+            << "policy " << static_cast<int>(jobs[i].config.policy);
+    }
 }
 
 } // namespace

@@ -344,18 +344,72 @@ class Layering(AnalyzeCase):
 
 OWNERSHIP_MANIFEST = """\
 {
-  "file": "src/batch/pipeline.cc",
-  "class": "BatchPipeline",
-  "components": [
-    {"name": "mmu", "member": "mmu_",
-     "mutators": ["translateEntry"], "stage": "translateBatch"},
-    {"name": "l1", "member": "l1_",
-     "mutators": ["access"], "stage": "accountBatch"}
-  ],
-  "readonly": [
-    {"member": "pageTable_", "reads": ["translate"]}
+  "units": [
+    {
+      "file": "src/batch/producer.cc",
+      "class": "Producer",
+      "components": [
+        {"name": "source", "member": "source_",
+         "mutators": ["nextBatch"], "stage": "produce"}
+      ]
+    },
+    {
+      "file": "src/batch/pipeline.cc",
+      "class": "BatchPipeline",
+      "components": [
+        {"name": "mmu", "member": "mmu_",
+         "mutators": ["translateEntry"], "stage": "translateBatch"},
+        {"name": "l1", "member": "l1_",
+         "mutators": ["access"], "stage": "accountBatch"}
+      ],
+      "readonly": [
+        {"member": "pageTable_", "reads": ["translate"]}
+      ]
+    }
   ]
 }
+"""
+
+PRODUCER_CC = """\
+#include "batch/producer.hh"
+
+void
+Producer::produce()
+{
+    source_->nextBatch(0);
+}
+"""
+
+PRODUCER_HH = """\
+class Producer
+{
+  public:
+    void produce();
+
+  private:
+    std::unique_ptr<cpu::TraceSource> ownedSource_;
+    cpu::TraceSource &source_;
+};
+"""
+
+PIPELINE_HH = """\
+class BatchPipeline
+{
+  public:
+    void run();
+    bool idle() const { return mmu_ == nullptr; }
+
+  private:
+    void translateBatch();
+    void accountBatch();
+
+    std::unique_ptr<Producer> producer_;
+    vm::Mmu *mmu_ = nullptr;
+    SiptL1Cache &l1_;
+    const vm::PageTable &pageTable_;
+    std::atomic<std::uint64_t> refs_{0};
+    cpu::TraceSource &spare_;
+};
 """
 
 PIPELINE_CC = """\
@@ -364,6 +418,7 @@ PIPELINE_CC = """\
 void
 BatchPipeline::run()
 {
+    producer_.produce();
     translateBatch();
     accountBatch();
 }
@@ -384,10 +439,14 @@ BatchPipeline::accountBatch()
 
 
 def ownership_fixture(manifest=OWNERSHIP_MANIFEST,
-                      pipeline=PIPELINE_CC):
+                      pipeline=PIPELINE_CC, producer=PRODUCER_CC,
+                      pipeline_hh=PIPELINE_HH):
     return {
         "tools/stage_ownership.json": manifest,
         "src/batch/pipeline.cc": pipeline,
+        "src/batch/pipeline.hh": pipeline_hh,
+        "src/batch/producer.cc": producer,
+        "src/batch/producer.hh": PRODUCER_HH,
     }
 
 
@@ -442,6 +501,91 @@ class StageOwnership(AnalyzeCase):
             diags, "tools/stage_ownership.json",
             "names stage `retireBatch`, which is not a member "
             "function")
+
+    def test_mutation_from_another_class_rejected(self):
+        # spare_ holds a TraceSource, whose nextBatch only
+        # Producer::source_ may run.
+        pipeline = PIPELINE_CC.replace(
+            "    producer_.produce();\n",
+            "    producer_.produce();\n    spare_.nextBatch(1);\n")
+        diags = self.run_pass(
+            "stage-ownership", ownership_fixture(
+                pipeline=pipeline))
+        self.assert_diag(
+            diags, "src/batch/pipeline.cc",
+            "`spare_.nextBatch()` is called from BatchPipeline::run "
+            "but TraceSource::nextBatch is owned by Producer::source_")
+
+    def test_second_member_of_owned_type_rejected(self):
+        producer = PRODUCER_CC.replace(
+            "    source_->nextBatch(0);\n",
+            "    source_->nextBatch(0);\n"
+            "    ownedSource_->nextBatch(0);\n")
+        diags = self.run_pass(
+            "stage-ownership", ownership_fixture(producer=producer))
+        self.assert_diag(
+            diags, "src/batch/producer.cc",
+            "`ownedSource_.nextBatch()` is called from "
+            "Producer::produce but TraceSource::nextBatch is owned "
+            "by Producer::source_")
+
+    def test_same_method_on_another_type_accepted(self):
+        # Keyed on the member's class, not the bare method name.
+        pipeline = PIPELINE_CC.replace(
+            "    l1_.access(1);\n",
+            "    l1_.access(1);\n    refs_.nextBatch(1);\n")
+        self.assertEqual(
+            self.run_pass("stage-ownership", ownership_fixture(
+                pipeline=pipeline)), [])
+
+    def test_two_owners_of_one_type_each_checked(self):
+        # Producer::produce is claimed for BatchPipeline::producer_
+        # and for Log::producer_: each call must sit in its own
+        # owner's stage.
+        manifest = OWNERSHIP_MANIFEST.replace(
+            '        {"name": "mmu",',
+            '        {"name": "own producer", "member": "producer_",\n'
+            '         "mutators": ["produce"], "stage": "run"},\n'
+            '        {"name": "mmu",').replace(
+            '  "units": [\n',
+            '  "units": [\n'
+            '    {"file": "src/batch/log.cc", "class": "Log",\n'
+            '     "components": [\n'
+            '        {"name": "log producer", "member": "producer_",\n'
+            '         "mutators": ["produce"], "stage": "fill"}]},\n')
+        files = ownership_fixture(manifest=manifest)
+        files["src/batch/log.hh"] = (
+            "class Log\n{\n    Producer *producer_;\n};\n")
+        files["src/batch/log.cc"] = (
+            "void\nLog::fill()\n{\n    producer_->produce();\n}\n"
+            "void\nLog::read()\n{\n    producer_->produce();\n}\n")
+        diags = self.run_pass("stage-ownership", files)
+        self.assertEqual(len(diags), 1, diags)
+        self.assert_diag(
+            diags, "src/batch/log.cc",
+            "`producer_.produce()` mutates log producer state owned "
+            "by stage `fill` but is called from `read`")
+
+    def test_undeclared_member_rejected(self):
+        manifest = OWNERSHIP_MANIFEST.replace(
+            '"member": "l1_"', '"member": "cache_"')
+        diags = self.run_pass(
+            "stage-ownership", ownership_fixture(manifest=manifest))
+        self.assert_diag(
+            diags, "tools/stage_ownership.json",
+            "names member `cache_`, which BatchPipeline does not "
+            "declare")
+
+    def test_undeclared_member_calling_a_mutator_rejected(self):
+        pipeline = PIPELINE_CC.replace(
+            "    l1_.access(1);\n",
+            "    l1_.access(1);\n    ghost_.translateEntry(1);\n")
+        diags = self.run_pass(
+            "stage-ownership", ownership_fixture(
+                pipeline=pipeline))
+        self.assert_diag(
+            diags, "src/batch/pipeline.cc",
+            "which BatchPipeline does not declare as a member")
 
     def test_double_ownership_rejected(self):
         manifest = OWNERSHIP_MANIFEST.replace(
