@@ -63,8 +63,10 @@ identity(const char *what, std::uint64_t lhs, std::uint64_t rhs)
 } // namespace
 
 std::string
-checkStatsClosure(const StatsView &s)
+checkStatsClosure(const StatsView &view)
 {
+    const L1Stats &s = view.l1;
+    const SpeculationStats &spec = s.spec;
     if (s.loads + s.stores != s.accesses) {
         return identity("loads+stores != accesses",
                         s.loads + s.stores, s.accesses);
@@ -83,9 +85,9 @@ checkStatsClosure(const StatsView &s)
                         s.accesses + s.extraArrayAccesses,
                         s.arrayAccesses);
     }
-    if (s.extraAccess != s.extraArrayAccesses) {
+    if (spec.extraAccess != s.extraArrayAccesses) {
         return identity("spec.extraAccess != extraArrayAccesses",
-                        s.extraAccess, s.extraArrayAccesses);
+                        spec.extraAccess, s.extraArrayAccesses);
     }
     if (s.hugeAccesses > s.accesses) {
         return identity("hugeAccesses > accesses", s.hugeAccesses,
@@ -97,33 +99,33 @@ checkStatsClosure(const StatsView &s)
                         s.hugeReplays + s.hugeBypassLosses,
                         s.hugeAccesses);
     }
-    if (s.hugeReplays > s.extraAccess) {
+    if (s.hugeReplays > spec.extraAccess) {
         return identity("hugeReplays > spec.extraAccess",
-                        s.hugeReplays, s.extraAccess);
+                        s.hugeReplays, spec.extraAccess);
     }
-    if (s.hugeBypassLosses > s.opportunityLoss) {
+    if (s.hugeBypassLosses > spec.opportunityLoss) {
         return identity("hugeBypassLosses > spec.opportunityLoss",
-                        s.hugeBypassLosses, s.opportunityLoss);
+                        s.hugeBypassLosses, spec.opportunityLoss);
     }
 
     // Per-policy partition of the speculation taxonomy: every
     // access lands in exactly one bucket of the buckets the policy
     // can produce, and the other buckets stay zero.
-    switch (s.policy) {
+    switch (view.policy) {
       case PolicyClass::Direct:
-        if (s.correctSpeculation || s.correctBypass ||
-            s.opportunityLoss || s.extraAccess || s.idbHit) {
+        if (spec.correctSpeculation || spec.correctBypass ||
+            spec.opportunityLoss || spec.extraAccess || spec.idbHit) {
             return "direct policy must keep all speculation "
                    "counters zero";
         }
         break;
       case PolicyClass::Naive:
-        if (s.correctSpeculation + s.extraAccess != s.accesses) {
+        if (spec.correctSpeculation + spec.extraAccess != s.accesses) {
             return identity(
                 "naive: correctSpec+extra != accesses",
-                s.correctSpeculation + s.extraAccess, s.accesses);
+                spec.correctSpeculation + spec.extraAccess, s.accesses);
         }
-        if (s.correctBypass || s.opportunityLoss || s.idbHit)
+        if (spec.correctBypass || spec.opportunityLoss || spec.idbHit)
             return "naive policy cannot bypass or hit the IDB";
         if (s.hugeReplays) {
             return "naive policy replayed a huge-page access "
@@ -131,16 +133,16 @@ checkStatsClosure(const StatsView &s)
         }
         break;
       case PolicyClass::Bypass:
-        if (s.correctSpeculation + s.extraAccess + s.correctBypass +
-                s.opportunityLoss !=
+        if (spec.correctSpeculation + spec.extraAccess +
+                spec.correctBypass + spec.opportunityLoss !=
             s.accesses) {
             return identity(
                 "bypass: spec buckets != accesses",
-                s.correctSpeculation + s.extraAccess +
-                    s.correctBypass + s.opportunityLoss,
+                spec.correctSpeculation + spec.extraAccess +
+                    spec.correctBypass + spec.opportunityLoss,
                 s.accesses);
         }
-        if (s.idbHit)
+        if (spec.idbHit)
             return "bypass policy cannot hit the IDB";
         if (s.hugeReplays) {
             return "bypass policy replayed a huge-page access "
@@ -154,19 +156,20 @@ checkStatsClosure(const StatsView &s)
         // The value-predicting policies share one partition: every
         // access speculated (with VA bits or a predicted value) and
         // either matched or replayed; none ever bypasses outright.
-        if (s.correctSpeculation + s.idbHit + s.extraAccess !=
+        if (spec.correctSpeculation + spec.idbHit + spec.extraAccess !=
             s.accesses) {
             return identity(
                 "predicting: correctSpec+idb+extra != accesses",
-                s.correctSpeculation + s.idbHit + s.extraAccess,
+                spec.correctSpeculation + spec.idbHit +
+                    spec.extraAccess,
                 s.accesses);
         }
-        if (s.correctBypass || s.opportunityLoss)
+        if (spec.correctBypass || spec.opportunityLoss)
             return "predicting policies never bypass outright";
         // Vespa's superpage gate makes every huge access a plain
         // VA-bits speculation: no stage-2 prediction may run, so
         // a huge replay (or delta hit) is structurally impossible.
-        if (s.policy == PolicyClass::Vespa && s.hugeReplays) {
+        if (view.policy == PolicyClass::Vespa && s.hugeReplays) {
             return "vespa gate failed: huge-page access replayed "
                    "despite unconditional speculation";
         }
@@ -176,14 +179,15 @@ checkStatsClosure(const StatsView &s)
     // a bypass: Bypass is the only class that bypasses at all, and
     // for it a huge BypassLoss is precisely the predictor waste
     // this counter exists to expose — bounded but legal.
-    if (s.policy != PolicyClass::Bypass && s.hugeBypassLosses)
+    if (view.policy != PolicyClass::Bypass && s.hugeBypassLosses)
         return "non-bypass policy recorded a huge bypass loss";
     return {};
 }
 
 std::string
-checkEnergyClosure(const StatsView &s)
+checkEnergyClosure(const StatsView &view)
 {
+    const L1Stats &s = view.l1;
     // Absolute tolerance scaled by the number of accumulations:
     // each += can contribute half an ulp of drift.
     const double tolerance =
@@ -204,8 +208,8 @@ checkEnergyClosure(const StatsView &s)
     // probe — including a wasted replay probe of the wrong set — is
     // a full-cost read.
     const double discount =
-        static_cast<double>(s.wayPredCorrect) *
-        (1.0 - 1.0 / static_cast<double>(s.assoc));
+        static_cast<double>(view.wayPredCorrect) *
+        (1.0 - 1.0 / static_cast<double>(view.assoc));
     const double expected =
         static_cast<double>(s.arrayAccesses) - discount;
     if (std::fabs(s.weightedArrayAccesses - expected) > tolerance) {

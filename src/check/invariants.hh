@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <string>
 
+#include "check/l1_stats.hh"
+
 namespace sipt::check
 {
 
@@ -65,38 +67,18 @@ enum class SpecClass : std::uint8_t
 const char *specClassName(SpecClass spec);
 
 /**
- * Snapshot of every counter the invariants relate. Decoupled from
- * sipt::L1Stats so the check layer stays below the L1 controller in
- * the library graph; the controller fills it in one place.
+ * Snapshot of every counter the invariants relate: the L1's own
+ * counters plus what the closures need to know about the policy
+ * and the way predictor. The controller fills it in one place.
  */
 struct StatsView
 {
     PolicyClass policy = PolicyClass::Direct;
     std::uint32_t assoc = 1;
-    std::uint64_t accesses = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t fastAccesses = 0;
-    std::uint64_t slowAccesses = 0;
-    std::uint64_t extraArrayAccesses = 0;
-    std::uint64_t arrayAccesses = 0;
-    double weightedArrayAccesses = 0.0;
-    std::uint64_t correctSpeculation = 0;
-    std::uint64_t correctBypass = 0;
-    std::uint64_t opportunityLoss = 0;
-    std::uint64_t extraAccess = 0;
-    std::uint64_t idbHit = 0;
+    L1Stats l1;
     /** Way-prediction hits charged at 1/assoc (0 when way
      *  prediction is disabled). */
     std::uint64_t wayPredCorrect = 0;
-    /** Accesses whose translation was a huge (2 MiB) page. */
-    std::uint64_t hugeAccesses = 0;
-    /** Replays among the huge-page accesses. */
-    std::uint64_t hugeReplays = 0;
-    /** Opportunity losses among the huge-page accesses. */
-    std::uint64_t hugeBypassLosses = 0;
 };
 
 /**

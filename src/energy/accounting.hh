@@ -27,6 +27,20 @@ struct EnergyBreakdown
     double l2Static = 0.0;
     double llcStatic = 0.0;
 
+    /** The field table, in the run-result JSON's order: calls
+     *  f(name, field...) with that field of every object in @p s. */
+    template <typename F, typename... S>
+    static void
+    forEachField(F &&f, S &...s)
+    {
+        f("l1Dynamic", s.l1Dynamic...);
+        f("l2Dynamic", s.l2Dynamic...);
+        f("llcDynamic", s.llcDynamic...);
+        f("l1Static", s.l1Static...);
+        f("l2Static", s.l2Static...);
+        f("llcStatic", s.llcStatic...);
+    }
+
     double
     dynamicTotal() const
     {

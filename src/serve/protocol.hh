@@ -26,6 +26,7 @@
  *   {"ok":false,"error":"not-ready","job":<id>,"state":...}
  *   {"ok":false,"error":"unknown-job","job":<id>}
  *   {"ok":false,"error":"job-failed","job":<id>,"detail":...}
+ *   {"ok":false,"error":"corrupt-result","job":<id>,"detail":...}
  *
  * The job id is the 16-hex fnv1a64 of the engine's canonical run
  * key (sim::runKeyJson()), so identical submissions — from any

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -292,13 +293,15 @@ Server::handleResult(const Request &request)
         return jobErrorResponse("evicted", request.job, "",
                                 nullptr);
     }
-    const auto parsed = Json::parse(result_json);
-    SIPT_ASSERT(parsed.has_value(),
-                "serve: stored result is not JSON for job ",
-                request.job);
-    return resultResponse(
-        request.job,
-        metricsPayload(sim::runResultFromJson(*parsed)));
+    // A damaged store entry is an error answer, not an abort.
+    std::string error = "stored result is not JSON";
+    std::optional<sim::RunResult> result;
+    if (const auto parsed = Json::parse(result_json))
+        result = sim::runResultFromJson(*parsed, error);
+    if (!result)
+        return jobErrorResponse("corrupt-result", request.job, error,
+                                "detail");
+    return resultResponse(request.job, metricsPayload(*result));
 }
 
 Json

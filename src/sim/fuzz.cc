@@ -26,30 +26,6 @@ sampleSeed(std::uint64_t master_seed, std::uint64_t index)
            (index * 0x9e3779b97f4a7c15ull + 0x243f6a8885a308d3ull);
 }
 
-/** Single-line JSON of the config fields the fuzzer samples. */
-Json
-sampleConfigJson(const FuzzSample &sample)
-{
-    const sim::SystemConfig &c = sample.config;
-    Json j = Json::object();
-    j.set("app", sample.app);
-    j.set("outOfOrder", c.outOfOrder);
-    j.set("l1SizeBytes", c.l1SizeBytes);
-    j.set("l1Assoc", std::uint64_t{c.l1Assoc});
-    j.set("l1HitLatency", c.l1HitLatency);
-    j.set("xlatPredEntries", std::uint64_t{c.xlatPredEntries});
-    j.set("wayPrediction", c.wayPrediction);
-    j.set("radixWalker", c.radixWalker);
-    j.set("condition",
-          std::uint64_t{static_cast<std::uint8_t>(c.condition)});
-    j.set("physMemBytes", c.physMemBytes);
-    j.set("warmupRefs", c.warmupRefs);
-    j.set("measureRefs", c.measureRefs);
-    j.set("seed", c.seed);
-    j.set("footprintScale", c.footprintScale);
-    return j;
-}
-
 /** Speculative index bits of a (size, assoc) L1 geometry. */
 unsigned
 specBitsOf(std::uint64_t size_bytes, std::uint32_t assoc)
@@ -262,7 +238,8 @@ reproLine(const FuzzSample &sample)
     std::ostringstream os;
     os << "SIPT-FUZZ-REPRO seed=" << sample.masterSeed
        << " index=" << sample.index
-       << " config=" << sampleConfigJson(sample).dump();
+       << " app=" << Json(sample.app).dump()
+       << " config=" << sim::configToJson(sample.config).dump();
     return os.str();
 }
 

@@ -34,6 +34,13 @@ enum class L1Config : std::uint8_t
     Sipt128K4,     ///< 128 KiB 4-way, 4-cycle (3 spec bits)
 };
 
+/** The last L1Config: the config codec's upper bound. */
+constexpr L1Config
+lastEnumerator(L1Config)
+{
+    return L1Config::Sipt128K4;
+}
+
 /** Printable name, e.g. "32KiB 2-way". */
 const char *l1ConfigName(L1Config config);
 

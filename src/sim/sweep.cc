@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -82,84 +83,170 @@ cacheDirFromEnv()
     return "";
 }
 
+/** A struct with a field table (SystemConfig, RunResult, ...). */
+template <typename T>
+concept HasFields = requires(const T &t) {
+    T::forEachField([](const char *, const auto &) {}, t);
+};
+
+template <typename T>
+constexpr bool isVector = false;
+template <typename T>
+constexpr bool isVector<std::vector<T>> = true;
+
+/**
+ * The canonical JSON of @p value. A struct becomes an object with
+ * one member per field-table row, in table order; a vector an
+ * array; an enum or an unsigned integer a Uint; bool, double and
+ * string map to their own kinds. These bytes are the run-cache key
+ * and the disk-cache and wire result format, so they must not
+ * change without a cacheFormatVersion bump.
+ */
+template <typename T>
 Json
-energyToJson(const energy::EnergyBreakdown &e)
+toJson(const T &value)
 {
-    Json j = Json::object();
-    j.set("l1Dynamic", e.l1Dynamic);
-    j.set("l2Dynamic", e.l2Dynamic);
-    j.set("llcDynamic", e.llcDynamic);
-    j.set("l1Static", e.l1Static);
-    j.set("l2Static", e.l2Static);
-    j.set("llcStatic", e.llcStatic);
-    return j;
+    if constexpr (HasFields<T>) {
+        Json j = Json::object();
+        T::forEachField(
+            [&j](const char *name, const auto &field) {
+                j.set(name, toJson(field));
+            },
+            value);
+        return j;
+    } else if constexpr (isVector<T>) {
+        Json j = Json::array();
+        for (const auto &element : value)
+            j.push(toJson(element));
+        return j;
+    } else if constexpr (std::is_enum_v<T>) {
+        return std::uint64_t{
+            static_cast<std::underlying_type_t<T>>(value)};
+    } else if constexpr (std::is_integral_v<T> &&
+                         !std::is_same_v<T, bool>) {
+        return std::uint64_t{value};
+    } else {
+        return Json(value);
+    }
 }
 
-energy::EnergyBreakdown
-energyFromJson(const Json &j)
+/**
+ * The strict inverse of toJson(). An object must carry exactly its
+ * table's members (a missing, extra or misspelt one is an error),
+ * an enum must lie in [0, lastEnumerator()], an integer in its
+ * type's range. Errors name the member and what it must be, under
+ * the label @p what of the object being decoded.
+ */
+struct Decoder
 {
-    energy::EnergyBreakdown e;
-    e.l1Dynamic = j.get("l1Dynamic").asDouble();
-    e.l2Dynamic = j.get("l2Dynamic").asDouble();
-    e.llcDynamic = j.get("llcDynamic").asDouble();
-    e.l1Static = j.get("l1Static").asDouble();
-    e.l2Static = j.get("l2Static").asDouble();
-    e.llcStatic = j.get("llcStatic").asDouble();
-    return e;
-}
+    std::string &error;
+    /** Doubles must be positive (a config's scale factor) instead
+     *  of any number (a result metric). */
+    bool positiveDoubles;
 
-Json
-l1StatsToJson(const L1Stats &s)
-{
-    Json j = Json::object();
-    j.set("accesses", s.accesses);
-    j.set("loads", s.loads);
-    j.set("stores", s.stores);
-    j.set("hits", s.hits);
-    j.set("misses", s.misses);
-    j.set("writebacks", s.writebacks);
-    j.set("fastAccesses", s.fastAccesses);
-    j.set("slowAccesses", s.slowAccesses);
-    j.set("extraArrayAccesses", s.extraArrayAccesses);
-    j.set("arrayAccesses", s.arrayAccesses);
-    j.set("weightedArrayAccesses", s.weightedArrayAccesses);
-    j.set("hugeAccesses", s.hugeAccesses);
-    j.set("hugeReplays", s.hugeReplays);
-    j.set("hugeBypassLosses", s.hugeBypassLosses);
-    j.set("correctSpeculation", s.spec.correctSpeculation);
-    j.set("correctBypass", s.spec.correctBypass);
-    j.set("opportunityLoss", s.spec.opportunityLoss);
-    j.set("extraAccess", s.spec.extraAccess);
-    j.set("idbHit", s.spec.idbHit);
-    return j;
-}
+    template <typename S>
+    bool
+    object(const Json &j, const std::string &what, S &out)
+    {
+        if (!j.isObject()) {
+            error = what + " must be a JSON object";
+            return false;
+        }
+        for (std::size_t i = 0; i < j.size(); ++i) {
+            const std::string &member = j.member(i).first;
+            bool known = false;
+            S::forEachField(
+                [&](const char *name, const auto &) {
+                    known = known || member == name;
+                },
+                out);
+            if (!known) {
+                error = "unknown " + what + " member \"" + member +
+                        "\"";
+                return false;
+            }
+        }
+        bool ok = true;
+        S::forEachField(
+            [&](const char *name, const auto &) {
+                if (ok && j.find(name) == nullptr) {
+                    error = "missing " + what + " member \"" +
+                            name + "\"";
+                    ok = false;
+                }
+            },
+            out);
+        S::forEachField(
+            [&](const char *name, auto &slot) {
+                ok = ok && field(*j.find(name), what, name, slot);
+            },
+            out);
+        return ok;
+    }
 
-L1Stats
-l1StatsFromJson(const Json &j)
+    template <typename T>
+    bool
+    field(const Json &v, const std::string &what, const char *name,
+          T &out)
+    {
+        const auto fail = [&](const std::string &must) {
+            error = what + " member \"" + name + "\" must be " +
+                    must;
+            return false;
+        };
+        if constexpr (HasFields<T>) {
+            return object(v, what + "." + name, out);
+        } else if constexpr (isVector<T>) {
+            if (!v.isArray())
+                return fail("an array");
+            out.resize(v.size());
+            for (std::size_t i = 0; i < v.size(); ++i) {
+                if (!object(v.at(i),
+                            what + "." + name + "[" +
+                                std::to_string(i) + "]",
+                            out[i]))
+                    return false;
+            }
+        } else if constexpr (std::is_same_v<T, bool>) {
+            if (!v.isBool())
+                return fail("a bool");
+            out = v.asBool();
+        } else if constexpr (std::is_same_v<T, double>) {
+            if (!v.isNumber() ||
+                (positiveDoubles && v.asDouble() <= 0.0))
+                return fail(positiveDoubles ? "a positive number"
+                                            : "a number");
+            out = v.asDouble();
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            if (!v.isString())
+                return fail("a string");
+            out = v.asString();
+        } else {
+            std::uint64_t max = 0;
+            if constexpr (std::is_enum_v<T>)
+                max = static_cast<std::uint64_t>(lastEnumerator(T{}));
+            else
+                max = std::numeric_limits<T>::max();
+            if (!v.isUint() || v.asUint() > max) {
+                return fail("an integer in [0, " +
+                            std::to_string(max) + "]");
+            }
+            out = static_cast<T>(v.asUint());
+        }
+        return true;
+    }
+};
+
+/** Decode a whole @p S, or nullopt with @p error set. */
+template <typename S>
+std::optional<S>
+fromJson(const Json &j, const char *what, bool positive_doubles,
+         std::string &error)
 {
-    L1Stats s;
-    s.accesses = j.get("accesses").asUint();
-    s.loads = j.get("loads").asUint();
-    s.stores = j.get("stores").asUint();
-    s.hits = j.get("hits").asUint();
-    s.misses = j.get("misses").asUint();
-    s.writebacks = j.get("writebacks").asUint();
-    s.fastAccesses = j.get("fastAccesses").asUint();
-    s.slowAccesses = j.get("slowAccesses").asUint();
-    s.extraArrayAccesses = j.get("extraArrayAccesses").asUint();
-    s.arrayAccesses = j.get("arrayAccesses").asUint();
-    s.weightedArrayAccesses =
-        j.get("weightedArrayAccesses").asDouble();
-    s.hugeAccesses = j.get("hugeAccesses").asUint();
-    s.hugeReplays = j.get("hugeReplays").asUint();
-    s.hugeBypassLosses = j.get("hugeBypassLosses").asUint();
-    s.spec.correctSpeculation =
-        j.get("correctSpeculation").asUint();
-    s.spec.correctBypass = j.get("correctBypass").asUint();
-    s.spec.opportunityLoss = j.get("opportunityLoss").asUint();
-    s.spec.extraAccess = j.get("extraAccess").asUint();
-    s.spec.idbHit = j.get("idbHit").asUint();
-    return s;
+    S out;
+    if (!Decoder{error, positive_doubles}.object(j, what, out))
+        return std::nullopt;
+    return out;
 }
 
 } // namespace
@@ -179,241 +266,39 @@ traceHashFor(const std::string &app)
 }
 
 Json
-configToJson(const SystemConfig &c)
+configToJson(const SystemConfig &config)
 {
-    Json j = Json::object();
-    j.set("outOfOrder", c.outOfOrder);
-    j.set("l1Config",
-          std::uint64_t{static_cast<std::uint8_t>(c.l1Config)});
-    j.set("l1SizeBytes", c.l1SizeBytes);
-    j.set("l1Assoc", std::uint64_t{c.l1Assoc});
-    j.set("l1HitLatency", c.l1HitLatency);
-    j.set("policy",
-          std::uint64_t{static_cast<std::uint8_t>(c.policy)});
-    j.set("xlatPredEntries", std::uint64_t{c.xlatPredEntries});
-    j.set("wayPrediction", c.wayPrediction);
-    j.set("radixWalker", c.radixWalker);
-    j.set("condition",
-          std::uint64_t{static_cast<std::uint8_t>(c.condition)});
-    j.set("physMemBytes", c.physMemBytes);
-    j.set("warmupRefs", c.warmupRefs);
-    j.set("measureRefs", c.measureRefs);
-    j.set("seed", c.seed);
-    j.set("footprintScale", c.footprintScale);
-    j.set("check", c.check);
-    return j;
+    return toJson(config);
 }
 
 std::optional<SystemConfig>
 configFromJson(const Json &j, std::string &error)
 {
-    if (!j.isObject()) {
-        error = "config must be a JSON object";
-        return std::nullopt;
-    }
-
-    // The exact member set configToJson() emits; anything else —
-    // missing, extra, or misspelt — is a hard error so that wire
-    // input can never silently run a default-filled config.
-    static constexpr const char *known[] = {
-        "outOfOrder",   "l1Config",     "l1SizeBytes",
-        "l1Assoc",      "l1HitLatency", "policy",
-        "xlatPredEntries", "wayPrediction", "radixWalker",
-        "condition",    "physMemBytes", "warmupRefs",
-        "measureRefs",  "seed",         "footprintScale",
-        "check",
-    };
-
-    const Json *fields[std::size(known)] = {};
-    for (std::size_t i = 0; i < j.size(); ++i) {
-        const auto &[name, value] = j.member(i);
-        bool matched = false;
-        for (std::size_t k = 0; k < std::size(known); ++k) {
-            if (name == known[k]) {
-                fields[k] = &value;
-                matched = true;
-                break;
-            }
-        }
-        if (!matched) {
-            error = "unknown config member \"" + name + "\"";
-            return std::nullopt;
-        }
-    }
-    for (std::size_t k = 0; k < std::size(known); ++k) {
-        if (fields[k] == nullptr) {
-            error = std::string("missing config member \"") +
-                    known[k] + "\"";
-            return std::nullopt;
-        }
-    }
-
-    auto field = [&](const char *name) -> const Json & {
-        for (std::size_t k = 0; k < std::size(known); ++k)
-            if (std::string_view(known[k]) == name)
-                return *fields[k];
-        SIPT_ASSERT(false, "configFromJson: bad field name");
-    };
-    auto needBool = [&](const char *name, bool &out) {
-        const Json &v = field(name);
-        if (!v.isBool()) {
-            error = std::string("config member \"") + name +
-                    "\" must be a bool";
-            return false;
-        }
-        out = v.asBool();
-        return true;
-    };
-    auto needUint = [&](const char *name, std::uint64_t max,
-                        std::uint64_t &out) {
-        const Json &v = field(name);
-        if (!v.isUint() || v.asUint() > max) {
-            error = std::string("config member \"") + name +
-                    "\" must be an integer in [0, " +
-                    std::to_string(max) + "]";
-            return false;
-        }
-        out = v.asUint();
-        return true;
-    };
-
-    SystemConfig c;
-    std::uint64_t u = 0;
-    if (!needBool("outOfOrder", c.outOfOrder))
-        return std::nullopt;
-    if (!needUint("l1Config",
-                  static_cast<std::uint64_t>(L1Config::Sipt128K4),
-                  u))
-        return std::nullopt;
-    c.l1Config = static_cast<L1Config>(u);
-    if (!needUint("l1SizeBytes", UINT64_MAX, c.l1SizeBytes))
-        return std::nullopt;
-    if (!needUint("l1Assoc", UINT32_MAX, u))
-        return std::nullopt;
-    c.l1Assoc = static_cast<std::uint32_t>(u);
-    if (!needUint("l1HitLatency", UINT64_MAX, c.l1HitLatency))
-        return std::nullopt;
-    if (!needUint("policy",
-                  static_cast<std::uint64_t>(
-                      IndexingPolicy::SiptPcax),
-                  u))
-        return std::nullopt;
-    c.policy = static_cast<IndexingPolicy>(u);
-    if (!needUint("xlatPredEntries", UINT32_MAX, u))
-        return std::nullopt;
-    c.xlatPredEntries = static_cast<std::uint32_t>(u);
-    if (!needBool("wayPrediction", c.wayPrediction))
-        return std::nullopt;
-    if (!needBool("radixWalker", c.radixWalker))
-        return std::nullopt;
-    if (!needUint("condition",
-                  static_cast<std::uint64_t>(
-                      MemCondition::Fragmented),
-                  u))
-        return std::nullopt;
-    c.condition = static_cast<MemCondition>(u);
-    if (!needUint("physMemBytes", UINT64_MAX, c.physMemBytes))
-        return std::nullopt;
-    if (!needUint("warmupRefs", UINT64_MAX, c.warmupRefs))
-        return std::nullopt;
-    if (!needUint("measureRefs", UINT64_MAX, c.measureRefs))
-        return std::nullopt;
-    if (!needUint("seed", UINT64_MAX, c.seed))
-        return std::nullopt;
-    {
-        const Json &v = field("footprintScale");
-        if (!v.isNumber() || v.asDouble() <= 0.0) {
-            error = "config member \"footprintScale\" must be a "
-                    "positive number";
-            return std::nullopt;
-        }
-        c.footprintScale = v.asDouble();
-    }
-    if (!needBool("check", c.check))
-        return std::nullopt;
     // `engine` is key-exempt (serves both engines) and stays at
     // its default; it is deliberately not part of the wire format.
-    return c;
+    return fromJson<SystemConfig>(j, "config", true, error);
 }
 
 Json
-runResultToJson(const RunResult &r)
+runResultToJson(const RunResult &result)
 {
-    Json j = Json::object();
-    j.set("app", r.app);
-    j.set("ipc", r.ipc);
-    j.set("cycles", r.cycles);
-    j.set("instructions", r.instructions);
-    j.set("l1", l1StatsToJson(r.l1));
-    j.set("l1HitRate", r.l1HitRate);
-    j.set("fastFraction", r.fastFraction);
-    j.set("energy", energyToJson(r.energy));
-    j.set("hugeCoverage", r.hugeCoverage);
-    j.set("wayPredAccuracy", r.wayPredAccuracy);
-    j.set("dtlbHitRate", r.dtlbHitRate);
-    j.set("pageWalks", r.pageWalks);
-    j.set("l1Mpki", r.l1Mpki);
-    j.set("checkDigest", r.checkDigest);
-    j.set("checkEvents", r.checkEvents);
-    j.set("checkFailure", r.checkFailure);
-    j.set("vivtReverseProbes", r.vivtReverseProbes);
-    j.set("vivtInvalidations", r.vivtInvalidations);
-    j.set("vivtDirtyForwards", r.vivtDirtyForwards);
-    return j;
+    return toJson(result);
 }
 
-RunResult
-runResultFromJson(const Json &j)
+std::optional<RunResult>
+runResultFromJson(const Json &j, std::string &error)
 {
-    RunResult r;
-    r.app = j.get("app").asString();
-    r.ipc = j.get("ipc").asDouble();
-    r.cycles = j.get("cycles").asDouble();
-    r.instructions = j.get("instructions").asUint();
-    r.l1 = l1StatsFromJson(j.get("l1"));
-    r.l1HitRate = j.get("l1HitRate").asDouble();
-    r.fastFraction = j.get("fastFraction").asDouble();
-    r.energy = energyFromJson(j.get("energy"));
-    r.hugeCoverage = j.get("hugeCoverage").asDouble();
-    r.wayPredAccuracy = j.get("wayPredAccuracy").asDouble();
-    r.dtlbHitRate = j.get("dtlbHitRate").asDouble();
-    r.pageWalks = j.get("pageWalks").asUint();
-    r.l1Mpki = j.get("l1Mpki").asDouble();
-    r.checkDigest = j.get("checkDigest").asUint();
-    r.checkEvents = j.get("checkEvents").asUint();
-    r.checkFailure = j.get("checkFailure").asString();
-    r.vivtReverseProbes = j.get("vivtReverseProbes").asUint();
-    r.vivtInvalidations = j.get("vivtInvalidations").asUint();
-    r.vivtDirtyForwards = j.get("vivtDirtyForwards").asUint();
-    return r;
+    return fromJson<RunResult>(j, "result", false, error);
 }
 
 namespace
 {
 
-Json
-multiResultToJson(const MulticoreResult &r)
+std::optional<MulticoreResult>
+multiResultFromJson(const Json &j, std::string &error)
 {
-    Json j = Json::object();
-    Json per = Json::array();
-    for (const auto &core : r.perCore)
-        per.push(runResultToJson(core));
-    j.set("perCore", std::move(per));
-    j.set("sumIpc", r.sumIpc);
-    j.set("energy", energyToJson(r.energy));
-    return j;
-}
-
-MulticoreResult
-multiResultFromJson(const Json &j)
-{
-    MulticoreResult r;
-    const Json &per = j.get("perCore");
-    for (std::size_t i = 0; i < per.size(); ++i)
-        r.perCore.push_back(runResultFromJson(per.at(i)));
-    r.sumIpc = j.get("sumIpc").asDouble();
-    r.energy = energyFromJson(j.get("energy"));
-    return r;
+    return fromJson<MulticoreResult>(j, "multicore result", false,
+                                     error);
 }
 
 Json
@@ -618,41 +503,55 @@ SweepRunner::noteJobDone(double seconds)
     lastComplete_ = std::chrono::steady_clock::now();
 }
 
-bool
-SweepRunner::loadFromDisk(const std::string &key_json,
-                          bool multicore, Json &result_out) const
+std::string
+SweepRunner::entryPath(const std::string &key_json,
+                       bool multicore) const
 {
-    if (cacheDir_.empty())
-        return false;
-    const char *prefix = multicore ? "multi-" : "run-";
     char name[64];
-    std::snprintf(name, sizeof(name), "%s%016llx.json", prefix,
+    std::snprintf(name, sizeof(name), "%s%016llx.json",
+                  multicore ? "multi-" : "run-",
                   static_cast<unsigned long long>(
                       fnv1a64(key_json)));
-    const std::filesystem::path path =
-        std::filesystem::path(cacheDir_) / name;
+    return (std::filesystem::path(cacheDir_) / name).string();
+}
+
+template <typename Result>
+std::optional<Result>
+SweepRunner::loadFromDisk(
+    const std::string &key_json, bool multicore,
+    std::optional<Result> (*decode)(const Json &, std::string &))
+    const
+{
+    if (cacheDir_.empty())
+        return std::nullopt;
+    const std::string path = entryPath(key_json, multicore);
     std::ifstream in(path);
     if (!in)
-        return false;
+        return std::nullopt;
     std::ostringstream buf;
     buf << in.rdbuf();
     const auto parsed = Json::parse(buf.str());
     if (!parsed) {
-        warn("sweep: unreadable cache entry ", path.string());
-        return false;
+        warn("sweep: unreadable cache entry ", path);
+        return std::nullopt;
     }
     const Json *version = parsed->find("version");
     const Json *key = parsed->find("key");
     const Json *result = parsed->find("result");
-    if (!version || version->asUint() != cacheFormatVersion ||
-        !key || !result)
-        return false;
+    if (!version || !version->isUint() ||
+        version->asUint() != cacheFormatVersion || !key || !result)
+        return std::nullopt;
     // Verify the stored key: a 64-bit file-name collision must
     // degrade to a miss, never to someone else's result.
     if (key->dump() != key_json)
-        return false;
-    result_out = *result;
-    return true;
+        return std::nullopt;
+    std::string error;
+    auto decoded = decode(*result, error);
+    if (!decoded) {
+        warn("sweep: malformed cache entry ", path, " (",
+             error, "); re-running");
+    }
+    return decoded;
 }
 
 void
@@ -661,13 +560,7 @@ SweepRunner::storeToDisk(const std::string &key_json,
 {
     if (cacheDir_.empty())
         return;
-    const char *prefix = multicore ? "multi-" : "run-";
-    char name[64];
-    std::snprintf(name, sizeof(name), "%s%016llx.json", prefix,
-                  static_cast<unsigned long long>(
-                      fnv1a64(key_json)));
-    const std::filesystem::path path =
-        std::filesystem::path(cacheDir_) / name;
+    const std::string path = entryPath(key_json, multicore);
 
     Json entry = Json::object();
     entry.set("version", cacheFormatVersion);
@@ -681,9 +574,9 @@ SweepRunner::storeToDisk(const std::string &key_json,
     const std::string tmp_suffix =
         ".tmp." + std::to_string(std::hash<std::thread::id>{}(
                       std::this_thread::get_id()));
-    if (!fsio::atomicPublish(path.string(), entry.dump() + '\n',
+    if (!fsio::atomicPublish(path, entry.dump() + '\n',
                              tmp_suffix))
-        warn("sweep: cannot write cache entry ", path.string());
+        warn("sweep: cannot write cache entry ", path);
 }
 
 std::shared_future<RunResult>
@@ -714,14 +607,14 @@ SweepRunner::enqueue(const std::string &app,
 
     const std::string key_json =
         singleKeyJson(app, config, trace_hash).dump();
-    Json cached;
-    if (loadFromDisk(key_json, false, cached)) {
+    if (auto cached =
+            loadFromDisk(key_json, false, runResultFromJson)) {
         {
             std::lock_guard lock(cacheMu_);
             ++stats_.diskHits;
             lastComplete_ = std::chrono::steady_clock::now();
         }
-        promise->set_value(runResultFromJson(cached));
+        promise->set_value(std::move(*cached));
         return future;
     }
 
@@ -783,14 +676,14 @@ SweepRunner::enqueueMulticore(const std::vector<std::string> &mix,
 
     const std::string key_json =
         multiKeyJson(mix, config, trace_hashes).dump();
-    Json cached;
-    if (loadFromDisk(key_json, true, cached)) {
+    if (auto cached =
+            loadFromDisk(key_json, true, multiResultFromJson)) {
         {
             std::lock_guard lock(cacheMu_);
             ++stats_.diskHits;
             lastComplete_ = std::chrono::steady_clock::now();
         }
-        promise->set_value(multiResultFromJson(cached));
+        promise->set_value(std::move(*cached));
         return future;
     }
 
@@ -800,8 +693,7 @@ SweepRunner::enqueueMulticore(const std::vector<std::string> &mix,
             MulticoreResult result = runMulticore(mix, config);
             const auto t1 = std::chrono::steady_clock::now();
             const std::chrono::duration<double> dt = t1 - t0;
-            storeToDisk(key_json, true,
-                        multiResultToJson(result));
+            storeToDisk(key_json, true, toJson(result));
             noteJobDone(dt.count());
             if (trace::Tracer *tracer =
                     trace::Tracer::globalIfEnabled()) {

@@ -119,8 +119,8 @@ struct SweepJob
  * results speaks one format.
  */
 
-/** The disk-cache key codec for a SystemConfig. Every keyed field
- *  participates (enforced by sipt-analyze's config-key pass). */
+/** The disk-cache key codec for a SystemConfig: one member per row
+ *  of SystemConfig::forEachField, in table order. */
 Json configToJson(const SystemConfig &config);
 
 /**
@@ -134,9 +134,17 @@ Json configToJson(const SystemConfig &config);
 std::optional<SystemConfig>
 configFromJson(const Json &j, std::string &error);
 
-/** RunResult <-> disk-cache/wire JSON. */
+/** RunResult -> disk-cache/wire JSON. */
 Json runResultToJson(const RunResult &result);
-RunResult runResultFromJson(const Json &j);
+
+/**
+ * Strict inverse of runResultToJson(), as configFromJson() is of
+ * configToJson(): on any missing, extra, mistyped or out-of-range
+ * member returns nullopt and sets @p error, so a malformed stored
+ * result is a cache miss or an error response, never a panic.
+ */
+std::optional<RunResult>
+runResultFromJson(const Json &j, std::string &error);
 
 /** Content hash of the trace file behind a "trace:<path>" app
  *  (0 for synthetic apps); part of every dedup key. */
@@ -278,9 +286,23 @@ class SweepRunner
     void noteGenericDone();
     void noteJobDone(double seconds);
 
-    /** Disk-cache probe / store; no-ops when the cache is off. */
-    bool loadFromDisk(const std::string &key_json,
-                      bool multicore, Json &result_out) const;
+    /** The disk-cache file for @p key_json. */
+    std::string entryPath(const std::string &key_json,
+                          bool multicore) const;
+    /**
+     * Disk-cache probe: the stored result for @p key_json decoded
+     * by @p decode, or nullopt on a miss (cache off, no entry).
+     * A defective entry (torn, another format version, a file-name
+     * collision, a result that does not decode) is a miss too, so
+     * the job re-executes and republishes it.
+     */
+    template <typename Result>
+    std::optional<Result>
+    loadFromDisk(const std::string &key_json, bool multicore,
+                 std::optional<Result> (*decode)(const Json &,
+                                                 std::string &))
+        const;
+    /** Disk-cache store; a no-op when the cache is off. */
     void storeToDisk(const std::string &key_json, bool multicore,
                      const Json &result) const;
 

@@ -639,22 +639,11 @@ std::size_t
 hashValue(const SystemConfig &config)
 {
     std::size_t h = 0;
-    hashCombine(h, config.outOfOrder);
-    hashCombine(h, static_cast<std::uint8_t>(config.l1Config));
-    hashCombine(h, config.l1SizeBytes);
-    hashCombine(h, config.l1Assoc);
-    hashCombine(h, config.l1HitLatency);
-    hashCombine(h, static_cast<std::uint8_t>(config.policy));
-    hashCombine(h, config.xlatPredEntries);
-    hashCombine(h, config.wayPrediction);
-    hashCombine(h, config.radixWalker);
-    hashCombine(h, static_cast<std::uint8_t>(config.condition));
-    hashCombine(h, config.physMemBytes);
-    hashCombine(h, config.warmupRefs);
-    hashCombine(h, config.measureRefs);
-    hashCombine(h, config.seed);
-    hashCombine(h, config.footprintScale);
-    hashCombine(h, config.check);
+    SystemConfig::forEachField(
+        [&h](const char *, const auto &field) {
+            hashCombine(h, field);
+        },
+        config);
     return h;
 }
 

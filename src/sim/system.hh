@@ -63,6 +63,13 @@ enum class MemCondition : std::uint8_t
     NoContiguity, ///< every 4 KiB page placed at random
 };
 
+/** The last MemCondition: the config codec's upper bound. */
+constexpr MemCondition
+lastEnumerator(MemCondition)
+{
+    return MemCondition::NoContiguity;
+}
+
 /** Printable condition name. */
 const char *conditionName(MemCondition condition);
 
@@ -87,7 +94,7 @@ std::uint64_t defaultWarmupRefs();
  * which is enforced by tests/test_batch.cpp and by the fuzzer
  * flipping engines per sample. Because the choice can never
  * influence a result, it is deliberately EXCLUDED from the
- * run-cache key (SystemConfig::operator== / hashValue).
+ * run-cache key (SystemConfig::forEachField).
  */
 enum class EngineSelect : std::uint8_t
 {
@@ -158,38 +165,53 @@ struct SystemConfig
     EngineSelect engine = EngineSelect::Auto;
 
     /**
-     * Equality over every result-influencing field; together with
-     * hashValue() this makes a config usable as a run-cache key,
-     * so every field that influences simulation results MUST
-     * participate here. `engine` is the one deliberate exception
-     * (see EngineSelect) — which is why this cannot be a defaulted
-     * comparison. tests/test_config_key.cpp walks the fields and
-     * asserts both the participation and the exception.
+     * The run-cache key's field table, in canonical JSON order:
+     * calls f(name, field...) with that field of every object in
+     * @p s. operator==, hashValue(), configToJson() and
+     * configFromJson() are all derived from it, so a field
+     * influences the key exactly when it has a row here. Every
+     * field but the key-exempt ones must have one (sipt-analyze's
+     * config-key pass checks this; tests/test_config_key.cpp
+     * proves each row matters).
      */
+    template <typename F, typename... S>
+    static void
+    forEachField(F &&f, S &...s)
+    {
+        f("outOfOrder", s.outOfOrder...);
+        f("l1Config", s.l1Config...);
+        f("l1SizeBytes", s.l1SizeBytes...);
+        f("l1Assoc", s.l1Assoc...);
+        f("l1HitLatency", s.l1HitLatency...);
+        f("policy", s.policy...);
+        f("xlatPredEntries", s.xlatPredEntries...);
+        f("wayPrediction", s.wayPrediction...);
+        f("radixWalker", s.radixWalker...);
+        f("condition", s.condition...);
+        f("physMemBytes", s.physMemBytes...);
+        f("warmupRefs", s.warmupRefs...);
+        f("measureRefs", s.measureRefs...);
+        f("seed", s.seed...);
+        f("footprintScale", s.footprintScale...);
+        f("check", s.check...);
+    }
+
+    /** Equality over the field table (so not over `engine`). */
     bool
     operator==(const SystemConfig &other) const
     {
-        return outOfOrder == other.outOfOrder &&
-               l1Config == other.l1Config &&
-               l1SizeBytes == other.l1SizeBytes &&
-               l1Assoc == other.l1Assoc &&
-               l1HitLatency == other.l1HitLatency &&
-               policy == other.policy &&
-               xlatPredEntries == other.xlatPredEntries &&
-               wayPrediction == other.wayPrediction &&
-               radixWalker == other.radixWalker &&
-               condition == other.condition &&
-               physMemBytes == other.physMemBytes &&
-               warmupRefs == other.warmupRefs &&
-               measureRefs == other.measureRefs &&
-               seed == other.seed &&
-               footprintScale == other.footprintScale &&
-               check == other.check;
+        bool equal = true;
+        forEachField(
+            [&equal](const char *, const auto &a, const auto &b) {
+                equal = equal && a == b;
+            },
+            *this, other);
+        return equal;
     }
 };
 
-/** Hash over every SystemConfig field except `engine` (run-cache
- *  key; see EngineSelect for why engine is excluded). */
+/** Hash over SystemConfig's field table (the run-cache key; see
+ *  EngineSelect for why `engine` is not in it). */
 std::size_t hashValue(const SystemConfig &config);
 
 /** Metrics from one application run. */
@@ -235,6 +257,33 @@ struct RunResult
      *  non-events; the counters quantify the avoided machinery and
      *  never affect digests or failures. */
     std::uint64_t vivtDirtyForwards = 0;
+
+    /** The field table, in the disk-cache JSON's order: calls
+     *  f(name, field...) with that field of every object in @p s. */
+    template <typename F, typename... S>
+    static void
+    forEachField(F &&f, S &...s)
+    {
+        f("app", s.app...);
+        f("ipc", s.ipc...);
+        f("cycles", s.cycles...);
+        f("instructions", s.instructions...);
+        f("l1", s.l1...);
+        f("l1HitRate", s.l1HitRate...);
+        f("fastFraction", s.fastFraction...);
+        f("energy", s.energy...);
+        f("hugeCoverage", s.hugeCoverage...);
+        f("wayPredAccuracy", s.wayPredAccuracy...);
+        f("dtlbHitRate", s.dtlbHitRate...);
+        f("pageWalks", s.pageWalks...);
+        f("l1Mpki", s.l1Mpki...);
+        f("checkDigest", s.checkDigest...);
+        f("checkEvents", s.checkEvents...);
+        f("checkFailure", s.checkFailure...);
+        f("vivtReverseProbes", s.vivtReverseProbes...);
+        f("vivtInvalidations", s.vivtInvalidations...);
+        f("vivtDirtyForwards", s.vivtDirtyForwards...);
+    }
 };
 
 /**
@@ -385,6 +434,16 @@ struct MulticoreResult
     double sumIpc = 0.0;
     /** Total cache-hierarchy energy across all cores + LLC. */
     energy::EnergyBreakdown energy;
+
+    /** The field table, in the disk-cache JSON's order. */
+    template <typename F, typename... S>
+    static void
+    forEachField(F &&f, S &...s)
+    {
+        f("perCore", s.perCore...);
+        f("sumIpc", s.sumIpc...);
+        f("energy", s.energy...);
+    }
 };
 
 /**

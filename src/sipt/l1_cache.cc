@@ -571,26 +571,9 @@ SiptL1Cache::statsView() const
         break;
     }
     view.assoc = array_.assoc();
-    view.accesses = stats_.accesses;
-    view.loads = stats_.loads;
-    view.stores = stats_.stores;
-    view.hits = stats_.hits;
-    view.misses = stats_.misses;
-    view.fastAccesses = stats_.fastAccesses;
-    view.slowAccesses = stats_.slowAccesses;
-    view.extraArrayAccesses = stats_.extraArrayAccesses;
-    view.arrayAccesses = stats_.arrayAccesses;
-    view.weightedArrayAccesses = stats_.weightedArrayAccesses;
-    view.correctSpeculation = stats_.spec.correctSpeculation;
-    view.correctBypass = stats_.spec.correctBypass;
-    view.opportunityLoss = stats_.spec.opportunityLoss;
-    view.extraAccess = stats_.spec.extraAccess;
-    view.idbHit = stats_.spec.idbHit;
+    view.l1 = stats_;
     view.wayPredCorrect =
         wayPredictor_ ? wayPredictor_->correct() : 0;
-    view.hugeAccesses = stats_.hugeAccesses;
-    view.hugeReplays = stats_.hugeReplays;
-    view.hugeBypassLosses = stats_.hugeBypassLosses;
     return view;
 }
 

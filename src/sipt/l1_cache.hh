@@ -57,6 +57,7 @@
 #include "cache/hierarchy.hh"
 #include "cache/way_predictor.hh"
 #include "check/golden_model.hh"
+#include "check/l1_stats.hh"
 #include "check/options.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -80,6 +81,13 @@ enum class IndexingPolicy : std::uint8_t
     SiptRevelator,
     SiptPcax,
 };
+
+/** The last IndexingPolicy: the config codec's upper bound. */
+constexpr IndexingPolicy
+lastEnumerator(IndexingPolicy)
+{
+    return IndexingPolicy::SiptPcax;
+}
 
 /** Printable name of a policy. */
 const char *policyName(IndexingPolicy policy);
@@ -112,57 +120,10 @@ struct L1Params
     check::Options check = check::Options::fromEnv();
 };
 
-/**
- * Taxonomy of one access's speculation outcome (Figs. 5, 9, 12).
- */
-struct SpeculationStats
-{
-    /** Speculated with VA bits and they were unchanged. */
-    std::uint64_t correctSpeculation = 0;
-    /** Bypassed and the bits would indeed have changed. */
-    std::uint64_t correctBypass = 0;
-    /** Bypassed although the bits were unchanged (lost fast). */
-    std::uint64_t opportunityLoss = 0;
-    /** Speculated (any source) but the index was wrong: replay. */
-    std::uint64_t extraAccess = 0;
-    /** Bypass-predicted accesses saved by the IDB / reversal. */
-    std::uint64_t idbHit = 0;
-};
-
-/** Aggregate L1 statistics. */
-struct L1Stats
-{
-    std::uint64_t accesses = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t writebacks = 0;
-    /** Accesses whose data was available at hitLatency. */
-    std::uint64_t fastAccesses = 0;
-    /** Accesses that had to wait for translation. */
-    std::uint64_t slowAccesses = 0;
-    /** Wasted array accesses caused by misspeculation. */
-    std::uint64_t extraArrayAccesses = 0;
-    /** Total array access attempts (for energy). */
-    std::uint64_t arrayAccesses = 0;
-    /**
-     * Energy-weighted array accesses: way prediction scales a
-     * predicted-way access to 1/assoc of a full access.
-     */
-    double weightedArrayAccesses = 0.0;
-    /** Accesses whose translation was a huge (2 MiB) page. */
-    std::uint64_t hugeAccesses = 0;
-    /** Replays among the huge-page accesses: on huge pages the VA
-     *  index bits are provably unchanged, so every one of these is
-     *  a *value predictor* wasting a guaranteed-fast access — the
-     *  waste the Vespa gate eliminates. */
-    std::uint64_t hugeReplays = 0;
-    /** Opportunity losses among the huge-page accesses (Bypass
-     *  refusing a speculation that could not have failed). */
-    std::uint64_t hugeBypassLosses = 0;
-    SpeculationStats spec;
-};
+/** The controller's counters (declared in the check layer, whose
+ *  invariants read them). */
+using check::L1Stats;
+using check::SpeculationStats;
 
 /**
  * The speculation outcome decided for one access before it probes

@@ -39,16 +39,16 @@ cleanDirectView()
     StatsView v;
     v.policy = PolicyClass::Direct;
     v.assoc = 2;
-    v.accesses = 10;
-    v.loads = 6;
-    v.stores = 4;
-    v.hits = 7;
-    v.misses = 3;
-    v.fastAccesses = 10;
-    v.slowAccesses = 0;
-    v.extraArrayAccesses = 0;
-    v.arrayAccesses = 10;
-    v.weightedArrayAccesses = 10.0;
+    v.l1.accesses = 10;
+    v.l1.loads = 6;
+    v.l1.stores = 4;
+    v.l1.hits = 7;
+    v.l1.misses = 3;
+    v.l1.fastAccesses = 10;
+    v.l1.slowAccesses = 0;
+    v.l1.extraArrayAccesses = 0;
+    v.l1.arrayAccesses = 10;
+    v.l1.weightedArrayAccesses = 10.0;
     return v;
 }
 
@@ -62,29 +62,29 @@ TEST(Invariants, CleanViewPasses)
 TEST(Invariants, HitsAndMissesMustPartitionAccesses)
 {
     StatsView v = cleanDirectView();
-    v.hits = 8; // 8 + 3 != 10
+    v.l1.hits = 8; // 8 + 3 != 10
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
 TEST(Invariants, FastAndSlowMustPartitionAccesses)
 {
     StatsView v = cleanDirectView();
-    v.fastAccesses = 9;
-    v.slowAccesses = 0;
+    v.l1.fastAccesses = 9;
+    v.l1.slowAccesses = 0;
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
 TEST(Invariants, ArrayAccessesMustAccountExtras)
 {
     StatsView v = cleanDirectView();
-    v.extraArrayAccesses = 2; // accesses + extra != array
+    v.l1.extraArrayAccesses = 2; // accesses + extra != array
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
 TEST(Invariants, DirectPolicyForbidsSpecCounters)
 {
     StatsView v = cleanDirectView();
-    v.correctSpeculation = 1;
+    v.l1.spec.correctSpeculation = 1;
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
@@ -92,15 +92,15 @@ TEST(Invariants, NaiveSpeculationPartition)
 {
     StatsView v = cleanDirectView();
     v.policy = PolicyClass::Naive;
-    v.correctSpeculation = 7;
-    v.extraAccess = 3;
-    v.extraArrayAccesses = 3;
-    v.arrayAccesses = 13;
-    v.weightedArrayAccesses = 13.0;
-    v.fastAccesses = 7;
-    v.slowAccesses = 3;
+    v.l1.spec.correctSpeculation = 7;
+    v.l1.spec.extraAccess = 3;
+    v.l1.extraArrayAccesses = 3;
+    v.l1.arrayAccesses = 13;
+    v.l1.weightedArrayAccesses = 13.0;
+    v.l1.fastAccesses = 7;
+    v.l1.slowAccesses = 3;
     EXPECT_EQ(check::checkStatsClosure(v), "");
-    v.correctSpeculation = 6; // 6 + 3 != 10
+    v.l1.spec.correctSpeculation = 6; // 6 + 3 != 10
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
@@ -108,17 +108,17 @@ TEST(Invariants, BypassSpeculationPartition)
 {
     StatsView v = cleanDirectView();
     v.policy = PolicyClass::Bypass;
-    v.correctSpeculation = 4;
-    v.extraAccess = 2;
-    v.correctBypass = 3;
-    v.opportunityLoss = 1;
-    v.extraArrayAccesses = 2;
-    v.arrayAccesses = 12;
-    v.weightedArrayAccesses = 12.0;
-    v.fastAccesses = 4;
-    v.slowAccesses = 6;
+    v.l1.spec.correctSpeculation = 4;
+    v.l1.spec.extraAccess = 2;
+    v.l1.spec.correctBypass = 3;
+    v.l1.spec.opportunityLoss = 1;
+    v.l1.extraArrayAccesses = 2;
+    v.l1.arrayAccesses = 12;
+    v.l1.weightedArrayAccesses = 12.0;
+    v.l1.fastAccesses = 4;
+    v.l1.slowAccesses = 6;
     EXPECT_EQ(check::checkStatsClosure(v), "");
-    v.opportunityLoss = 2;
+    v.l1.spec.opportunityLoss = 2;
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
@@ -126,16 +126,16 @@ TEST(Invariants, CombinedSpeculationPartition)
 {
     StatsView v = cleanDirectView();
     v.policy = PolicyClass::Combined;
-    v.correctSpeculation = 5;
-    v.idbHit = 3;
-    v.extraAccess = 2;
-    v.extraArrayAccesses = 2;
-    v.arrayAccesses = 12;
-    v.weightedArrayAccesses = 12.0;
-    v.fastAccesses = 8;
-    v.slowAccesses = 2;
+    v.l1.spec.correctSpeculation = 5;
+    v.l1.spec.idbHit = 3;
+    v.l1.spec.extraAccess = 2;
+    v.l1.extraArrayAccesses = 2;
+    v.l1.arrayAccesses = 12;
+    v.l1.weightedArrayAccesses = 12.0;
+    v.l1.fastAccesses = 8;
+    v.l1.slowAccesses = 2;
     EXPECT_EQ(check::checkStatsClosure(v), "");
-    v.idbHit = 4;
+    v.l1.spec.idbHit = 4;
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
@@ -143,22 +143,22 @@ TEST(Invariants, VespaSpeculationPartitionAndHugeBounds)
 {
     StatsView v = cleanDirectView();
     v.policy = PolicyClass::Vespa;
-    v.correctSpeculation = 5;
-    v.idbHit = 3;
-    v.extraAccess = 2;
-    v.extraArrayAccesses = 2;
-    v.arrayAccesses = 12;
-    v.weightedArrayAccesses = 12.0;
-    v.fastAccesses = 8;
-    v.slowAccesses = 2;
-    v.hugeAccesses = 4;
+    v.l1.spec.correctSpeculation = 5;
+    v.l1.spec.idbHit = 3;
+    v.l1.spec.extraAccess = 2;
+    v.l1.extraArrayAccesses = 2;
+    v.l1.arrayAccesses = 12;
+    v.l1.weightedArrayAccesses = 12.0;
+    v.l1.fastAccesses = 8;
+    v.l1.slowAccesses = 2;
+    v.l1.hugeAccesses = 4;
     EXPECT_EQ(check::checkStatsClosure(v), "");
     // The gate makes a huge replay structurally impossible.
-    v.hugeReplays = 1;
+    v.l1.hugeReplays = 1;
     EXPECT_NE(check::checkStatsClosure(v), "");
-    v.hugeReplays = 0;
+    v.l1.hugeReplays = 0;
     // Predicting policies never bypass, so no huge bypass loss.
-    v.hugeBypassLosses = 1;
+    v.l1.hugeBypassLosses = 1;
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
@@ -168,21 +168,21 @@ TEST(Invariants, RevelatorAndPcaxShareThePredictingPartition)
          {PolicyClass::Revelator, PolicyClass::Pcax}) {
         StatsView v = cleanDirectView();
         v.policy = policy;
-        v.correctSpeculation = 4;
-        v.idbHit = 4;
-        v.extraAccess = 2;
-        v.extraArrayAccesses = 2;
-        v.arrayAccesses = 12;
-        v.weightedArrayAccesses = 12.0;
-        v.fastAccesses = 8;
-        v.slowAccesses = 2;
+        v.l1.spec.correctSpeculation = 4;
+        v.l1.spec.idbHit = 4;
+        v.l1.spec.extraAccess = 2;
+        v.l1.extraArrayAccesses = 2;
+        v.l1.arrayAccesses = 12;
+        v.l1.weightedArrayAccesses = 12.0;
+        v.l1.fastAccesses = 8;
+        v.l1.slowAccesses = 2;
         // Unlike Vespa, these may replay on huge pages (a wrong
         // *value* prediction), bounded by the replay total.
-        v.hugeAccesses = 3;
-        v.hugeReplays = 2;
+        v.l1.hugeAccesses = 3;
+        v.l1.hugeReplays = 2;
         EXPECT_EQ(check::checkStatsClosure(v), "");
-        v.correctBypass = 1;
-        v.correctSpeculation = 3;
+        v.l1.spec.correctBypass = 1;
+        v.l1.spec.correctSpeculation = 3;
         EXPECT_NE(check::checkStatsClosure(v), "")
             << "predicting policies never bypass outright";
     }
@@ -192,25 +192,25 @@ TEST(Invariants, HugeCountersAreBounded)
 {
     StatsView v = cleanDirectView();
     v.policy = PolicyClass::Naive;
-    v.correctSpeculation = 7;
-    v.extraAccess = 3;
-    v.extraArrayAccesses = 3;
-    v.arrayAccesses = 13;
-    v.weightedArrayAccesses = 13.0;
-    v.fastAccesses = 7;
-    v.slowAccesses = 3;
+    v.l1.spec.correctSpeculation = 7;
+    v.l1.spec.extraAccess = 3;
+    v.l1.extraArrayAccesses = 3;
+    v.l1.arrayAccesses = 13;
+    v.l1.weightedArrayAccesses = 13.0;
+    v.l1.fastAccesses = 7;
+    v.l1.slowAccesses = 3;
     EXPECT_EQ(check::checkStatsClosure(v), "");
     // More huge accesses than accesses.
-    v.hugeAccesses = 11;
+    v.l1.hugeAccesses = 11;
     EXPECT_NE(check::checkStatsClosure(v), "");
-    v.hugeAccesses = 2;
+    v.l1.hugeAccesses = 2;
     // Naive can only replay when the bits changed, which cannot
     // happen on a huge page.
-    v.hugeReplays = 1;
+    v.l1.hugeReplays = 1;
     EXPECT_NE(check::checkStatsClosure(v), "");
-    v.hugeReplays = 0;
+    v.l1.hugeReplays = 0;
     // Outcome counters above the huge-access total.
-    v.hugeBypassLosses = 3;
+    v.l1.hugeBypassLosses = 3;
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
@@ -218,21 +218,21 @@ TEST(Invariants, BypassMayLoseHugeAccessesBoundedly)
 {
     StatsView v = cleanDirectView();
     v.policy = PolicyClass::Bypass;
-    v.correctSpeculation = 4;
-    v.extraAccess = 2;
-    v.correctBypass = 3;
-    v.opportunityLoss = 1;
-    v.extraArrayAccesses = 2;
-    v.arrayAccesses = 12;
-    v.weightedArrayAccesses = 12.0;
-    v.fastAccesses = 4;
-    v.slowAccesses = 6;
-    v.hugeAccesses = 2;
+    v.l1.spec.correctSpeculation = 4;
+    v.l1.spec.extraAccess = 2;
+    v.l1.spec.correctBypass = 3;
+    v.l1.spec.opportunityLoss = 1;
+    v.l1.extraArrayAccesses = 2;
+    v.l1.arrayAccesses = 12;
+    v.l1.weightedArrayAccesses = 12.0;
+    v.l1.fastAccesses = 4;
+    v.l1.slowAccesses = 6;
+    v.l1.hugeAccesses = 2;
     // A huge BypassLoss is legal for Bypass (predictor waste the
     // counter exists to expose), bounded by opportunityLoss.
-    v.hugeBypassLosses = 1;
+    v.l1.hugeBypassLosses = 1;
     EXPECT_EQ(check::checkStatsClosure(v), "");
-    v.hugeBypassLosses = 2; // > opportunityLoss
+    v.l1.hugeBypassLosses = 2; // > opportunityLoss
     EXPECT_NE(check::checkStatsClosure(v), "");
 }
 
@@ -305,7 +305,7 @@ TEST(Invariants, HugePageDecisionLegality)
 TEST(Invariants, WeightedEnergyNeverExceedsRaw)
 {
     StatsView v = cleanDirectView();
-    v.weightedArrayAccesses = 10.5;
+    v.l1.weightedArrayAccesses = 10.5;
     EXPECT_NE(check::checkEnergyClosure(v), "");
 }
 
@@ -315,13 +315,13 @@ TEST(Invariants, WayPredictionDiscountIsExact)
     v.assoc = 4;
     v.wayPredCorrect = 4;
     // 10 probes, 4 correctly way-predicted at 1/4 cost each.
-    v.weightedArrayAccesses = 10.0 - 4.0 * (1.0 - 0.25);
+    v.l1.weightedArrayAccesses = 10.0 - 4.0 * (1.0 - 0.25);
     EXPECT_EQ(check::checkEnergyClosure(v), "");
 
     // The historical replay bug: a wasted wrong-set probe charged
     // at 1/assoc instead of full cost. The closure must reject the
     // resulting under-count.
-    v.weightedArrayAccesses -= 0.75;
+    v.l1.weightedArrayAccesses -= 0.75;
     EXPECT_NE(check::checkEnergyClosure(v), "");
 }
 

@@ -1,15 +1,21 @@
 /**
  * @file
- * SystemConfig as a run-cache key: field-wise equality and
- * hashValue() must react to every result-influencing field —
- * a field the key ignores would let the cache serve a stale
- * result for a different experiment.
+ * SystemConfig as a run-cache key: field-wise equality, hashValue()
+ * and the key's JSON (configToJson) must react to every
+ * result-influencing field — a field the key ignores would let the
+ * cache serve a stale result for a different experiment. All three
+ * derive from SystemConfig::forEachField, so this file proves that
+ * each row of that table matters and that the key-exempt fields
+ * have no row.
  */
 
+#include <set>
+#include <string>
 #include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 
 namespace sipt::sim
@@ -19,18 +25,34 @@ namespace
 
 /**
  * The SystemConfig fields deliberately excluded from the run-cache
- * key. This list must match, name for name, the fields annotated
- * `// sipt-analyze: key-exempt(...)` in sim/system.hh — the
- * sipt-analyze config-key pass diffs the two, so the annotation
- * and this test cannot drift apart silently.
+ * key: the ones annotated `// sipt-analyze: key-exempt(...)` in
+ * sim/system.hh, which the sipt-analyze config-key pass proves
+ * have no row in the field table.
  */
 const char *const kKeyExemptFields[] = {"engine"};
 
-/** Mutate one field, expect inequality and a hash change. */
+/** The field table's names. */
+std::set<std::string>
+tableNames()
+{
+    std::set<std::string> names;
+    const SystemConfig config;
+    SystemConfig::forEachField(
+        [&names](const char *name, const auto &) {
+            names.insert(name);
+        },
+        config);
+    return names;
+}
+
+/** Mutate one field, expect inequality, a hash change and a new
+ *  key JSON; records @p field as covered in @p covered. */
 template <typename Mutate>
 void
-expectFieldMatters(const char *field, Mutate mutate)
+expectFieldMatters(std::set<std::string> &covered, const char *field,
+                   Mutate mutate)
 {
+    covered.insert(field);
     const SystemConfig base;
     SystemConfig changed = base;
     mutate(changed);
@@ -38,6 +60,9 @@ expectFieldMatters(const char *field, Mutate mutate)
         << field << " does not participate in operator==";
     EXPECT_NE(hashValue(changed), hashValue(base))
         << field << " does not participate in hashValue()";
+    EXPECT_NE(configToJson(changed).dump(),
+              configToJson(base).dump())
+        << field << " does not participate in configToJson()";
 }
 
 TEST(ConfigKey, EqualConfigsCompareAndHashEqual)
@@ -59,54 +84,57 @@ TEST(ConfigKey, EqualConfigsCompareAndHashEqual)
 
 TEST(ConfigKey, EveryFieldParticipates)
 {
-    expectFieldMatters("outOfOrder", [](SystemConfig &c) {
+    std::set<std::string> covered;
+    expectFieldMatters(covered, "outOfOrder", [](SystemConfig &c) {
         c.outOfOrder = !c.outOfOrder;
     });
-    expectFieldMatters("l1Config", [](SystemConfig &c) {
+    expectFieldMatters(covered, "l1Config", [](SystemConfig &c) {
         c.l1Config = L1Config::Sipt64K4;
     });
-    expectFieldMatters("policy", [](SystemConfig &c) {
+    expectFieldMatters(covered, "policy", [](SystemConfig &c) {
         c.policy = IndexingPolicy::Ideal;
     });
-    expectFieldMatters("xlatPredEntries", [](SystemConfig &c) {
+    expectFieldMatters(covered, "xlatPredEntries", [](SystemConfig &c) {
         c.xlatPredEntries = 64;
     });
-    expectFieldMatters("wayPrediction", [](SystemConfig &c) {
+    expectFieldMatters(covered, "wayPrediction", [](SystemConfig &c) {
         c.wayPrediction = !c.wayPrediction;
     });
-    expectFieldMatters("radixWalker", [](SystemConfig &c) {
+    expectFieldMatters(covered, "radixWalker", [](SystemConfig &c) {
         c.radixWalker = !c.radixWalker;
     });
-    expectFieldMatters("condition", [](SystemConfig &c) {
+    expectFieldMatters(covered, "condition", [](SystemConfig &c) {
         c.condition = MemCondition::NoContiguity;
     });
-    expectFieldMatters("physMemBytes", [](SystemConfig &c) {
+    expectFieldMatters(covered, "physMemBytes", [](SystemConfig &c) {
         c.physMemBytes *= 2;
     });
-    expectFieldMatters("warmupRefs", [](SystemConfig &c) {
+    expectFieldMatters(covered, "warmupRefs", [](SystemConfig &c) {
         c.warmupRefs += 1;
     });
-    expectFieldMatters("measureRefs", [](SystemConfig &c) {
+    expectFieldMatters(covered, "measureRefs", [](SystemConfig &c) {
         c.measureRefs += 1;
     });
-    expectFieldMatters("seed", [](SystemConfig &c) {
+    expectFieldMatters(covered, "seed", [](SystemConfig &c) {
         c.seed += 1;
     });
-    expectFieldMatters("footprintScale", [](SystemConfig &c) {
+    expectFieldMatters(covered, "footprintScale", [](SystemConfig &c) {
         c.footprintScale = 0.5;
     });
-    expectFieldMatters("l1SizeBytes", [](SystemConfig &c) {
+    expectFieldMatters(covered, "l1SizeBytes", [](SystemConfig &c) {
         c.l1SizeBytes = 8 * 1024;
     });
-    expectFieldMatters("l1Assoc", [](SystemConfig &c) {
+    expectFieldMatters(covered, "l1Assoc", [](SystemConfig &c) {
         c.l1Assoc = 2;
     });
-    expectFieldMatters("l1HitLatency", [](SystemConfig &c) {
+    expectFieldMatters(covered, "l1HitLatency", [](SystemConfig &c) {
         c.l1HitLatency = 3;
     });
-    expectFieldMatters("check", [](SystemConfig &c) {
+    expectFieldMatters(covered, "check", [](SystemConfig &c) {
         c.check = !c.check;
     });
+    // Adding a table row means adding its mutation above.
+    EXPECT_EQ(covered, tableNames());
 }
 
 TEST(ConfigKey, EngineIsTheDeliberateException)
@@ -137,6 +165,8 @@ TEST(ConfigKey, ExemptListFlipsLeaveTheKeyUnchanged)
     // list (or vice versa) fails either here or in sipt-analyze.
     const SystemConfig base;
     for (const char *field : kKeyExemptFields) {
+        EXPECT_EQ(tableNames().count(field), 0u)
+            << field << " is exempt but has a field-table row";
         SystemConfig changed = base;
         if (std::string_view{field} == "engine") {
             changed.engine = EngineSelect::Scalar;

@@ -121,14 +121,39 @@ TEST(ServeProtocol, ConfigJsonRoundTripsEveryField)
     cfg.footprintScale = 0.5;
     cfg.check = true;
 
-    std::string error;
-    const auto parsed =
-        sim::configFromJson(sim::configToJson(cfg), error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_TRUE(*parsed == cfg);
-    // Canonical bytes survive the round trip too.
-    EXPECT_EQ(sim::configToJson(*parsed).dump(),
-              sim::configToJson(cfg).dump());
+    const auto expectRoundTrip = [](const sim::SystemConfig &c) {
+        std::string error;
+        const auto parsed =
+            sim::configFromJson(sim::configToJson(c), error);
+        ASSERT_TRUE(parsed.has_value()) << error;
+        EXPECT_TRUE(*parsed == c);
+        // Canonical bytes survive the round trip too.
+        EXPECT_EQ(sim::configToJson(*parsed).dump(),
+                  sim::configToJson(c).dump());
+    };
+    expectRoundTrip(cfg);
+
+    // Every enumerator of every enum member round-trips (Fig. 18's
+    // THP-off and no-contig conditions included), and each codec
+    // bound is its enum's last named value: one past it has no name.
+    const auto everyEnumerator = [&](auto last, auto name, auto set) {
+        using E = decltype(last);
+        const unsigned count = static_cast<unsigned>(last) + 1;
+        for (unsigned u = 0; u < count; ++u) {
+            sim::SystemConfig c = cfg;
+            set(c, static_cast<E>(u));
+            expectRoundTrip(c);
+        }
+        EXPECT_STREQ(name(static_cast<E>(count)), "?");
+    };
+    everyEnumerator(lastEnumerator(sim::MemCondition{}),
+                    sim::conditionName,
+                    [](auto &c, auto e) { c.condition = e; });
+    everyEnumerator(lastEnumerator(sim::L1Config{}),
+                    sim::l1ConfigName,
+                    [](auto &c, auto e) { c.l1Config = e; });
+    everyEnumerator(lastEnumerator(IndexingPolicy{}), policyName,
+                    [](auto &c, auto e) { c.policy = e; });
 }
 
 TEST(ServeProtocol, ConfigParsingIsStrict)
@@ -557,6 +582,37 @@ TEST(Serve, UnknownJobAndNotReadyErrors)
     EXPECT_EQ(not_ready->find("error")->asString(),
               "not-ready");
     EXPECT_EQ(not_ready->find("state")->asString(), "queued");
+    server.stop();
+}
+
+TEST(Serve, CorruptStoredResultIsAnErrorNotAnAbort)
+{
+    TestPaths paths("corrupt");
+    const auto truncated = tinyConfig(IndexingPolicy::Vipt, 1);
+    const auto garbled = tinyConfig(IndexingPolicy::Vipt, 2);
+    {
+        ResultStore store(ResultStore::Options{paths.store(), 0, 0});
+        store.put(sim::runKeyJson("mcf", truncated),
+                  R"({"app":"mcf"})");
+        store.put(sim::runKeyJson("mcf", garbled), "not json");
+    }
+    Server server(testOptions(paths, 0));
+    server.start();
+    Client client(paths.socket());
+    for (const auto &[cfg, detail] :
+         {std::pair{truncated, "missing result member \"ipc\""},
+          std::pair{garbled, "stored result is not JSON"}}) {
+        const auto submitted =
+            Json::parse(client.requestLine(submitLine("mcf", cfg)));
+        EXPECT_EQ(submitted->find("state")->asString(), "cached");
+        Request result;
+        result.op = Op::Result;
+        result.job = submitted->find("job")->asString();
+        const auto answer =
+            Json::parse(client.requestLine(encodeRequest(result)));
+        EXPECT_EQ(answer->find("error")->asString(), "corrupt-result");
+        EXPECT_EQ(answer->find("detail")->asString(), detail);
+    }
     server.stop();
 }
 

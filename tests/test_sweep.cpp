@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "sim/sweep.hh"
 
@@ -177,26 +179,54 @@ TEST(Sweep, TruncatedDiskEntryIsDiscardedNotFatal)
         cold = runner.enqueue("mcf", cfg).get();
     }
 
-    // Simulate a torn write: chop the published entry mid-JSON,
-    // the state a crash inside an unsynced write() could leave.
-    // (storeToDisk's write-tmp + fsync + rename makes this
-    // impossible going forward; old caches may still hold one.)
     std::filesystem::path entry;
     for (const auto &file :
          std::filesystem::directory_iterator(dir))
         entry = file.path();
     ASSERT_FALSE(entry.empty());
-    const auto full_size = std::filesystem::file_size(entry);
-    std::filesystem::resize_file(entry, full_size / 2);
-
+    std::string good;
     {
+        std::ifstream in(entry);
+        std::getline(in, good);
+    }
+    const auto parsed = Json::parse(good);
+    ASSERT_TRUE(parsed.has_value());
+    const std::string key = parsed->get("key").dump();
+    const std::string result = parsed->get("result").dump();
+    Json mistyped = parsed->get("result");
+    mistyped.set("ipc", "fast");
+
+    const std::string defects[] = {
+        // A torn write: the entry chopped mid-JSON, the state a
+        // crash inside an unsynced write() could leave.
+        // (storeToDisk's write-tmp + fsync + rename makes this
+        // impossible going forward; old caches may still hold one.)
+        good.substr(0, good.size() / 2),
+        // Valid JSON of the wrong shape.
+        "[1,2]",
+        // The right key, but a result missing every member but one.
+        R"({"version":5,"key":)" + key +
+            R"(,"result":{"app":"mcf"}})",
+        // A result member of the wrong type.
+        R"({"version":5,"key":)" + key + R"(,"result":)" +
+            mistyped.dump() + "}",
+        // A version that is not an integer.
+        R"({"version":"5","key":)" + key + R"(,"result":)" +
+            result + "}",
+    };
+    for (const std::string &defect : defects) {
+        {
+            std::ofstream out(entry, std::ios::trunc);
+            out << defect;
+        }
         SweepRunner runner(SweepOptions{1, dir.string()});
         const auto rerun = runner.enqueue("mcf", cfg).get();
-        // The torn entry must degrade to a miss (re-execution),
-        // never a parse abort or a half-read result.
+        // The defective entry must degrade to a miss
+        // (re-execution), never a parse abort or a half-read
+        // result.
         const auto s = runner.stats();
-        EXPECT_EQ(s.diskHits, 0u);
-        EXPECT_EQ(s.executed, 1u);
+        EXPECT_EQ(s.diskHits, 0u) << defect;
+        EXPECT_EQ(s.executed, 1u) << defect;
         expectSameResult(cold, rerun);
     }
 
@@ -207,6 +237,104 @@ TEST(Sweep, TruncatedDiskEntryIsDiscardedNotFatal)
         EXPECT_EQ(runner.stats().diskHits, 1u);
     }
     std::filesystem::remove_all(dir);
+}
+
+TEST(Sweep, CanonicalJsonBytesArePinned)
+{
+    // The run key, the disk-cache file names, serve's job ids and
+    // wire results all hash or echo these bytes, so member order
+    // and number formatting are a format: a reordered field table
+    // fails here. Every field holds a non-default value.
+    SystemConfig c;
+    c.outOfOrder = false;
+    c.l1Config = L1Config::Sipt64K4;
+    c.l1SizeBytes = 65536;
+    c.l1Assoc = 4;
+    c.l1HitLatency = 3;
+    c.policy = IndexingPolicy::SiptPcax;
+    c.xlatPredEntries = 256;
+    c.wayPrediction = true;
+    c.radixWalker = true;
+    c.condition = MemCondition::NoContiguity;
+    c.physMemBytes = 1ull << 30;
+    c.warmupRefs = 1234;
+    c.measureRefs = 5678;
+    c.seed = 7;
+    c.footprintScale = 0.1;
+    c.check = true;
+    EXPECT_EQ(configToJson(c).dump(),
+              R"({"outOfOrder":false,"l1Config":4,"l1SizeBytes":65536,)"
+              R"("l1Assoc":4,"l1HitLatency":3,"policy":7,)"
+              R"("xlatPredEntries":256,"wayPrediction":true,)"
+              R"("radixWalker":true,"condition":3,)"
+              R"("physMemBytes":1073741824,"warmupRefs":1234,)"
+              R"("measureRefs":5678,"seed":7,)"
+              R"("footprintScale":0.10000000000000001,"check":true})");
+
+    RunResult r;
+    r.app = "mcf";
+    r.ipc = 1.5;
+    r.cycles = 12345.0;
+    r.instructions = 20000;
+    r.l1.accesses = 1;
+    r.l1.loads = 2;
+    r.l1.stores = 3;
+    r.l1.hits = 4;
+    r.l1.misses = 5;
+    r.l1.writebacks = 6;
+    r.l1.fastAccesses = 7;
+    r.l1.slowAccesses = 8;
+    r.l1.extraArrayAccesses = 9;
+    r.l1.arrayAccesses = 10;
+    r.l1.weightedArrayAccesses = 10.25;
+    r.l1.hugeAccesses = 11;
+    r.l1.hugeReplays = 12;
+    r.l1.hugeBypassLosses = 13;
+    r.l1.spec.correctSpeculation = 14;
+    r.l1.spec.correctBypass = 15;
+    r.l1.spec.opportunityLoss = 16;
+    r.l1.spec.extraAccess = 17;
+    r.l1.spec.idbHit = 18;
+    r.l1HitRate = 0.75;
+    r.fastFraction = 0.1;
+    r.energy.l1Dynamic = 1.0;
+    r.energy.l2Dynamic = 2.5;
+    r.energy.llcDynamic = 3.0;
+    r.energy.l1Static = 4.0;
+    r.energy.l2Static = 5.0;
+    r.energy.llcStatic = 6.0;
+    r.hugeCoverage = 0.5;
+    r.wayPredAccuracy = 0.875;
+    r.dtlbHitRate = 0.99;
+    r.pageWalks = 19;
+    r.l1Mpki = 2.25;
+    r.checkDigest = 0xfedcba9876543210ull;
+    r.checkEvents = 20;
+    r.checkFailure = "none";
+    r.vivtReverseProbes = 21;
+    r.vivtInvalidations = 22;
+    r.vivtDirtyForwards = 23;
+    EXPECT_EQ(
+        runResultToJson(r).dump(),
+        R"({"app":"mcf","ipc":1.5,"cycles":12345.0,)"
+        R"("instructions":20000,"l1":{"accesses":1,"loads":2,)"
+        R"("stores":3,"hits":4,"misses":5,"writebacks":6,)"
+        R"("fastAccesses":7,"slowAccesses":8,)"
+        R"("extraArrayAccesses":9,"arrayAccesses":10,)"
+        R"("weightedArrayAccesses":10.25,"hugeAccesses":11,)"
+        R"("hugeReplays":12,"hugeBypassLosses":13,)"
+        R"("correctSpeculation":14,"correctBypass":15,)"
+        R"("opportunityLoss":16,"extraAccess":17,"idbHit":18},)"
+        R"("l1HitRate":0.75,"fastFraction":0.10000000000000001,)"
+        R"("energy":{"l1Dynamic":1.0,"l2Dynamic":2.5,)"
+        R"("llcDynamic":3.0,"l1Static":4.0,"l2Static":5.0,)"
+        R"("llcStatic":6.0},"hugeCoverage":0.5,)"
+        R"("wayPredAccuracy":0.875,)"
+        R"("dtlbHitRate":0.98999999999999999,"pageWalks":19,)"
+        R"("l1Mpki":2.25,"checkDigest":18364758544493064720,)"
+        R"("checkEvents":20,"checkFailure":"none",)"
+        R"("vivtReverseProbes":21,"vivtInvalidations":22,)"
+        R"("vivtDirtyForwards":23})");
 }
 
 TEST(Sweep, DiskCacheRoundTripsMulticore)

@@ -66,9 +66,10 @@ class AnalyzeCase(unittest.TestCase):
 # --------------------------------------------------------------
 
 def config_key_fixture(**edits):
-    """A three-field SystemConfig whose warmupRefs default is a
-    call and whose measureRefs default uses a digit separator —
-    both shapes the real header has and the parser must survive."""
+    """A three-field SystemConfig with its field table, whose
+    warmupRefs default is a call and whose measureRefs default uses
+    a digit separator — shapes the real header has and the parser
+    must survive."""
     files = {
         "src/sim/system.hh":
             "#ifndef SIPT_SIM_SYSTEM_HH\n"
@@ -85,12 +86,24 @@ def config_key_fixture(**edits):
             "engines)\n"
             "    int engine = 0;\n"
             "\n"
+            "    template <typename F, typename... S>\n"
+            "    static void\n"
+            "    forEachField(F &&f, S &...s)\n"
+            "    {\n"
+            '        f("outOfOrder", s.outOfOrder...);\n'
+            '        f("measureRefs", s.measureRefs...);\n'
+            '        f("warmupRefs", s.warmupRefs...);\n'
+            "    }\n"
+            "\n"
             "    bool\n"
             "    operator==(const SystemConfig &other) const\n"
             "    {\n"
-            "        return outOfOrder == other.outOfOrder &&\n"
-            "               measureRefs == other.measureRefs &&\n"
-            "               warmupRefs == other.warmupRefs;\n"
+            "        bool equal = true;\n"
+            "        forEachField([&equal](const char *, "
+            "const auto &a, const auto &b) {\n"
+            "            equal = equal && a == b;\n"
+            "        }, *this, other);\n"
+            "        return equal;\n"
             "    }\n"
             "};\n"
             "\n"
@@ -101,160 +114,79 @@ def config_key_fixture(**edits):
             "\n"
             "} // namespace sipt::sim\n"
             "#endif\n",
-        "src/sim/system.cc":
-            '#include "sim/system.hh"\n'
-            "namespace sipt::sim\n"
-            "{\n"
-            "std::size_t\n"
-            "hashValue(const SystemConfig &config)\n"
-            "{\n"
-            "    std::size_t h = 0;\n"
-            "    hashCombine(h, config.outOfOrder);\n"
-            "    hashCombine(h, config.measureRefs);\n"
-            "    hashCombine(h, config.warmupRefs);\n"
-            "    return h;\n"
-            "}\n"
-            "} // namespace sipt::sim\n",
-        "src/sim/sweep.cc":
-            '#include "sim/system.hh"\n'
-            "namespace sipt::sim\n"
-            "{\n"
-            "Json\n"
-            "configToJson(const SystemConfig &c)\n"
-            "{\n"
-            "    Json j;\n"
-            '    j.set("outOfOrder", c.outOfOrder);\n'
-            '    j.set("measureRefs", c.measureRefs);\n'
-            '    j.set("warmupRefs", c.warmupRefs);\n'
-            "    return j;\n"
-            "}\n"
-            "} // namespace sipt::sim\n",
-        "tests/test_config_key.cpp":
-            "const char *const kKeyExemptFields[] = "
-            '{"engine"};\n'
-            "void cover()\n"
-            "{\n"
-            '    expectFieldMatters("outOfOrder", [](auto &c) '
-            "{ c.outOfOrder = false; });\n"
-            '    expectFieldMatters("measureRefs", [](auto &c) '
-            "{ c.measureRefs += 1; });\n"
-            '    expectFieldMatters("warmupRefs", [](auto &c) '
-            "{ c.warmupRefs += 1; });\n"
-            "}\n",
     }
     files.update(edits)
+    return files
+
+
+def edit_system_hh(old, new):
+    files = config_key_fixture()
+    files["src/sim/system.hh"] = files["src/sim/system.hh"].replace(
+        old, new)
     return files
 
 
 class ConfigKey(AnalyzeCase):
     def test_clean_fixture_passes(self):
         # Also the parser regression case: the call-expression
-        # default, the digit separator, the in-struct operator==
-        # and the trailing RunResult struct must all parse.
+        # default, the digit separator, the in-struct table and
+        # operator== and the trailing RunResult struct must all
+        # parse.
         self.assertEqual(
             self.run_pass("config-key", config_key_fixture()), [])
 
-    def test_field_missing_from_hash(self):
-        files = config_key_fixture()
-        files["src/sim/system.cc"] = files[
-            "src/sim/system.cc"].replace(
-            "    hashCombine(h, config.warmupRefs);\n", "")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(diags, "src/sim/system.hh",
-                         "missing from hashValue()")
+    def test_member_missing_from_table(self):
+        diags = self.run_pass("config-key", edit_system_hh(
+            '        f("warmupRefs", s.warmupRefs...);\n', ""))
+        self.assert_diag(
+            diags, "src/sim/system.hh",
+            "SystemConfig::warmupRefs is missing from the field "
+            "table")
 
-    def test_field_missing_from_equality(self):
-        files = config_key_fixture()
-        files["src/sim/system.hh"] = files[
-            "src/sim/system.hh"].replace(
-            " &&\n               warmupRefs == "
-            "other.warmupRefs", "")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(diags, "src/sim/system.hh",
-                         "missing from operator==")
-
-    def test_field_missing_from_sweep_cache_key(self):
-        files = config_key_fixture()
-        files["src/sim/sweep.cc"] = files[
-            "src/sim/sweep.cc"].replace(
-            '    j.set("warmupRefs", c.warmupRefs);\n', "")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(diags, "src/sim/system.hh",
-                         "missing from the sweep cache key")
-
-    def test_unkeyed_field_without_annotation(self):
-        files = config_key_fixture()
-        files["src/sim/system.hh"] = files[
-            "src/sim/system.hh"].replace(
+    def test_new_member_without_row_or_annotation(self):
+        diags = self.run_pass("config-key", edit_system_hh(
             "    int engine = 0;\n",
-            "    int engine = 0;\n    int undocumented = 0;\n")
-        diags = self.run_pass("config-key", files)
-        # Missing from all three key surfaces.
+            "    int engine = 0;\n    int undocumented = 0;\n"))
+        self.assertEqual(len(diags), 1, diags)
         self.assert_diag(diags, "src/sim/system.hh",
-                         "SystemConfig::undocumented is missing",
-                         count=3)
+                         "SystemConfig::undocumented is missing")
 
     def test_stale_exemption_rejected(self):
-        files = config_key_fixture()
-        files["src/sim/system.cc"] = files[
-            "src/sim/system.cc"].replace(
-            "    return h;\n",
-            "    hashCombine(h, config.engine);\n    return h;\n")
-        diags = self.run_pass("config-key", files)
+        diags = self.run_pass("config-key", edit_system_hh(
+            '        f("warmupRefs", s.warmupRefs...);\n',
+            '        f("warmupRefs", s.warmupRefs...);\n'
+            '        f("engine", s.engine...);\n'))
         self.assert_diag(diags, "src/sim/system.hh",
                          "stale exemption: `engine`")
 
+    def test_row_naming_no_member(self):
+        diags = self.run_pass("config-key", edit_system_hh(
+            '        f("warmupRefs", s.warmupRefs...);\n',
+            '        f("warmupRefs", s.warmupRefs...);\n'
+            '        f("seed", s.seed...);\n'))
+        self.assert_diag(diags, "src/sim/system.hh",
+                         "row `seed` names no SystemConfig")
+
+    def test_missing_table_rejected(self):
+        diags = self.run_pass("config-key", edit_system_hh(
+            "forEachField(F &&f", "visit(F &&f"))
+        self.assert_diag(diags, "src/sim/system.hh",
+                         "cannot find the field table")
+
     def test_empty_exemption_reason_rejected(self):
-        files = config_key_fixture()
-        files["src/sim/system.hh"] = files[
-            "src/sim/system.hh"].replace(
-            "key-exempt(serves both engines)", "key-exempt()")
-        diags = self.run_pass("config-key", files)
+        diags = self.run_pass("config-key", edit_system_hh(
+            "key-exempt(serves both engines)", "key-exempt()"))
         self.assert_diag(diags, "src/sim/system.hh",
                          "non-empty reason")
 
     def test_same_line_annotation_accepted(self):
-        files = config_key_fixture()
-        files["src/sim/system.hh"] = files[
-            "src/sim/system.hh"].replace(
+        files = edit_system_hh(
             "    // sipt-analyze: key-exempt(serves both "
             "engines)\n"
             "    int engine = 0;\n",
             "    int engine = 0; "
             "// sipt-analyze: key-exempt(serves both engines)\n")
         self.assertEqual(self.run_pass("config-key", files), [])
-
-    def test_annotation_without_test_listing(self):
-        files = config_key_fixture()
-        files["tests/test_config_key.cpp"] = files[
-            "tests/test_config_key.cpp"].replace(
-            '{"engine"}', "{}")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(
-            diags, "tests/test_config_key.cpp",
-            "`engine` is annotated key-exempt in "
-            "src/sim/system.hh but missing from kKeyExemptFields")
-
-    def test_test_listing_without_annotation(self):
-        files = config_key_fixture()
-        files["tests/test_config_key.cpp"] = files[
-            "tests/test_config_key.cpp"].replace(
-            '{"engine"}', '{"engine", "seed"}')
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(
-            diags, "tests/test_config_key.cpp",
-            "kKeyExemptFields lists `seed`")
-
-    def test_keyed_field_without_matters_coverage(self):
-        files = config_key_fixture()
-        files["tests/test_config_key.cpp"] = files[
-            "tests/test_config_key.cpp"].replace(
-            '    expectFieldMatters("warmupRefs", [](auto &c) '
-            "{ c.warmupRefs += 1; });\n", "")
-        diags = self.run_pass("config-key", files)
-        self.assert_diag(
-            diags, "tests/test_config_key.cpp",
-            "keyed field `warmupRefs` has no expectFieldMatters")
 
 
 # --------------------------------------------------------------
